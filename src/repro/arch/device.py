@@ -134,11 +134,6 @@ class GrayskullDevice:
             raise ValueError(f"({noc_x},{noc_y}) is not a DRAM bank location")
         return bank
 
-    # -- running ----------------------------------------------------------
-    def run(self, until=None, max_events: Optional[int] = None):
-        """Advance this card's simulator (see :meth:`Simulator.run`)."""
-        return self.sim.run(until=until, max_events=max_events)
-
     def describe(self) -> str:
         """Text block diagram of the card (supports the Fig.-1 rendering)."""
         return (

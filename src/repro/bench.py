@@ -513,7 +513,6 @@ def run_benchmarks(smoke: bool = False, reps: int = 3,
     sequentially.
     """
     from repro.parallel import resolve_jobs
-    from repro.sim.engine import _fastpath_default
 
     names = list(BENCHMARKS) if not only else list(only)
     unknown = [n for n in names if n not in BENCHMARKS]
@@ -559,7 +558,6 @@ def run_benchmarks(smoke: bool = False, reps: int = 3,
         "date": datetime.date.today().isoformat(),
         "smoke": bool(smoke),
         "reps": int(reps),
-        "fastpath": _fastpath_default(),
         "python": platform.python_version(),
         # host context so parallel-era results stay interpretable; the
         # comparator ignores these (additive, schema-compatible keys).
@@ -651,7 +649,7 @@ def compare(current: dict, baseline: dict,
 def render(doc: dict) -> str:
     """A small fixed-width table of the document's results."""
     lines = [f"repro bench  schema={doc['schema']}  date={doc['date']}  "
-             f"smoke={doc['smoke']}  fastpath={doc['fastpath']}  "
+             f"smoke={doc['smoke']}  "
              f"cpus={doc.get('cpu_count', '?')}  "
              f"timings={doc.get('timings', 'sequential')}",
              f"{'benchmark':<18} {'kind':<6} {'metric':<18} "

@@ -425,7 +425,6 @@ def _abort_hung(device: GrayskullDevice, pending: List[ProgramHandle],
 
 
 def Finish(device: GrayskullDevice,
-           max_events: Optional[int] = None,
            timeout_s: Optional[float] = None) -> float:
     """Run the device until all enqueued programs complete.
 
@@ -444,7 +443,7 @@ def Finish(device: GrayskullDevice,
     if timeout_s is None:
         for handle in pending:
             for proc in handle.processes:
-                device.sim.run(until=proc, max_events=max_events)
+                device.sim.run(until=proc)
             handle.t_end = device.sim.now
         device._pending_programs = []  # type: ignore[attr-defined]
         device.energy.set_active_cores(0)
@@ -456,7 +455,7 @@ def Finish(device: GrayskullDevice,
     deadline = sim.timeout(timeout_s)
     race = sim.any_of([gate, deadline])
     try:
-        idx, _ = sim.run(until=race, max_events=max_events)
+        idx, _ = sim.run(until=race)
     except SimulationError as exc:
         if "deadlock" in str(exc):
             # The queue drained with kernels stranded before the deadline:

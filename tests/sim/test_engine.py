@@ -289,6 +289,30 @@ class TestDeterminism:
         sim.process(forever())
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
+        assert sim.events_processed == 100
+
+        def three_ticks():
+            s = Simulator()
+
+            def proc():
+                for _ in range(3):
+                    yield s.timeout(1)
+            return s, s.process(proc())
+
+        n = 5  # boot + 3 timeouts + the process's own completion
+        s, p = three_ticks()
+        s.run(until=p, max_events=n)  # the exact budget suffices
+        assert s.events_processed == n
+        s, p = three_ticks()
+        with pytest.raises(SimulationError,
+                           match=f"exceeded max_events={n - 1} "):
+            s.run(until=p, max_events=n - 1)
+        assert s.events_processed == n - 1
+        # The deadline break wins over a budget spent exactly at it
+        # (boot at t=0 and the first tick at t=1 are the 2 events).
+        s, p = three_ticks()
+        assert s.run(until=1.5, max_events=2) is None
+        assert (s.now, s.events_processed) == (1.5, 2)
 
     def test_deadlock_detected(self, sim):
         ev = sim.event()

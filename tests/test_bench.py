@@ -13,7 +13,7 @@ from repro import bench
 
 def _doc(results, smoke=True):
     return {"schema": bench.SCHEMA, "date": "2026-01-01", "smoke": smoke,
-            "reps": 1, "fastpath": True, "python": "3.x",
+            "reps": 1, "python": "3.x",
             "results": results}
 
 
@@ -28,6 +28,10 @@ class TestCompare:
     def test_identical_passes(self):
         doc = _doc([_res()])
         assert bench.compare(doc, doc) == []
+        # Header keys are ignored: older baselines still carry the
+        # retired ``fastpath`` field.
+        old = {**doc, "fastpath": True}
+        assert bench.compare(doc, old) == []
 
     def test_throughput_drop_within_tolerance_passes(self):
         base = _doc([_res(value=100.0)])
