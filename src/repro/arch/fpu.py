@@ -89,14 +89,15 @@ class Fpu:
                 f"{TILE_ELEMS * 2} B, got {cb.page_size}")
         if cb.dtype == "fp32":
             return cb.front_view_bits(tile_index).copy().view(np.float32)
-        return bits_to_f32(cb.front_view_u16(tile_index).copy())
+        # bits_to_f32 widens into a fresh array, so no register aliases L1
+        return bits_to_f32(cb.front_view_u16(tile_index))
 
     def _binary(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                 ia: int, ib: int, dst: int, op: Callable) -> None:
         self._check_dst(dst)
         a = self._unpack(cb_a, ia)
         b = self._unpack(cb_b, ib)
-        self._dst[dst] = op(a, b).astype(np.float32)
+        self._dst[dst] = op(a, b)      # float32 op float32: a fresh array
         self.ops += 1
 
     # -- tt-metal compute API surface -----------------------------------------

@@ -30,9 +30,11 @@ __all__ = [
 #: Storage size of one BF16 element in DRAM/SRAM.
 BF16_BYTES = 2
 
-_EXP_MASK = np.uint32(0x7F80_0000)
-_MAN_MASK = np.uint32(0x007F_FFFF)
-_QUIET_BIT16 = np.uint16(0x0040)
+_SHIFT16 = np.uint32(16)
+_ONE = np.uint32(1)
+_RNE_BIAS = np.uint32(0x7FFF)
+_SIGN32_HI = np.uint32(0x8000)
+_QUIET_NAN16 = np.uint16(0x7FC0)
 
 
 def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
@@ -40,23 +42,29 @@ def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
 
     Rounds to nearest, ties to even, exactly as hardware truncation with a
     rounding bias does.  Input is converted to ``float32`` first (so Python
-    floats and float64 arrays are accepted); output has the same shape.
+    floats and float64 arrays are accepted); output has the same shape and
+    is C-contiguous.
     """
     arr = np.asarray(x, dtype=np.float32)
-    shape = arr.shape
-    f32 = np.ascontiguousarray(arr).reshape(-1)
+    # ascontiguousarray lifts a 0-d input to shape (1,), so the ufuncs
+    # below return arrays rather than NumPy scalars
+    f32 = np.ascontiguousarray(arr)
     u32 = f32.view(np.uint32)
-    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part.
-    lsb = (u32 >> np.uint32(16)) & np.uint32(1)
-    rounded = u32 + np.uint32(0x7FFF) + lsb
-    bits = (rounded >> np.uint32(16)).astype(np.uint16)
+    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part
+    # (uint32 arithmetic wraps, so the in-place order is immaterial).
+    rounded = u32 >> _SHIFT16
+    rounded &= _ONE
+    rounded += _RNE_BIAS
+    rounded += u32
+    rounded >>= _SHIFT16
+    bits = rounded.astype(np.uint16)
     # NaN inputs: rounding bias may carry into the exponent; force a quiet
     # NaN with the sign preserved instead.
-    is_nan = ((u32 & _EXP_MASK) == _EXP_MASK) & ((u32 & _MAN_MASK) != 0)
+    is_nan = np.isnan(f32)
     if is_nan.any():
-        sign = ((u32 >> np.uint32(16)) & np.uint32(0x8000)).astype(np.uint16)
-        bits = np.where(is_nan, sign | np.uint16(0x7FC0) | _QUIET_BIT16, bits)
-    return bits.reshape(shape)
+        sign = ((u32 >> _SHIFT16) & _SIGN32_HI).astype(np.uint16)
+        bits = np.where(is_nan, sign | _QUIET_NAN16, bits)
+    return bits if arr.ndim else bits.reshape(())
 
 
 def bits_to_f32(bits: np.ndarray) -> np.ndarray:
@@ -64,8 +72,7 @@ def bits_to_f32(bits: np.ndarray) -> np.ndarray:
     b = np.asarray(bits)
     if b.dtype != np.uint16:
         raise TypeError(f"BF16 bit patterns must be uint16, got {b.dtype}")
-    u32 = b.astype(np.uint32) << np.uint32(16)
-    return u32.view(np.float32)
+    return (b.astype(np.uint32) << _SHIFT16).view(np.float32)
 
 
 def bf16_round(x: np.ndarray | float) -> np.ndarray:

@@ -11,6 +11,7 @@ CB id or operand suppresses rather than guesses.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .findings import Finding
@@ -72,37 +73,79 @@ def _referenced_cbs(call: Call):
 # per-core CB graph: P201 / P202 / P207
 # --------------------------------------------------------------------------
 
-def _cb_graph_rules(core, specs, traces, configured: Dict[int, int],
-                    findings: List[Finding]) -> None:
-    opaque_core = any(t.unavailable or t.truncated for t in traces)
-    if opaque_core:
-        return
-    push_sites: Dict[int, Tuple[str, str, int]] = {}
-    wait_sites: Dict[int, Tuple[str, str, int]] = {}
-    consumers: Set[int] = set()
-    unknown_push = unknown_consume = False
-    for trace in traces:
-        for call in iter_calls(trace.nodes):
-            if call.name == "cb_push_back":
-                cb = _cb_of(call)
-                if cb is None:
-                    unknown_push = True
-                else:
-                    push_sites.setdefault(
+#: (fn_name, filename, lineno) of the call a finding is pinned to
+_Site = Tuple[str, str, int]
+
+
+@dataclass
+class _CbSummary:
+    """Context-free CB usage of one trace, joined per core by the rules."""
+
+    push_sites: Dict[int, _Site]   #: first cb_push_back per CB
+    wait_sites: Dict[int, _Site]   #: first cb_wait_front per CB
+    consumers: Set[int]            #: CBs waited on, popped or aliased
+    unknown_push: bool             #: some push has a non-constant CB id
+    unknown_consume: bool
+    #: first unguarded reference of each CB, in trace order
+    unguarded_refs: List[Tuple[int, _Site]]
+
+
+def _cb_summary(trace: KernelTrace) -> _CbSummary:
+    cached = getattr(trace, "_cb_summary", None)
+    if cached is not None:
+        return cached
+    summary = _CbSummary({}, {}, set(), False, False, [])
+    for call in iter_calls(trace.nodes):
+        if call.name == "cb_push_back":
+            cb = _cb_of(call)
+            if cb is None:
+                summary.unknown_push = True
+            else:
+                summary.push_sites.setdefault(
+                    cb, (trace.fn_name, call.filename, call.lineno))
+        elif call.name in _CONSUME_OPS:
+            cb = _cb_of(call)
+            if cb is None:
+                summary.unknown_consume = True
+            else:
+                summary.consumers.add(cb)
+                if call.name == "cb_wait_front":
+                    summary.wait_sites.setdefault(
                         cb, (trace.fn_name, call.filename, call.lineno))
-            elif call.name in _CONSUME_OPS:
-                cb = _cb_of(call)
-                if cb is None:
-                    unknown_consume = True
-                else:
-                    consumers.add(cb)
-                    if call.name == "cb_wait_front":
-                        wait_sites.setdefault(
-                            cb,
-                            (trace.fn_name, call.filename, call.lineno))
+    # Only unguarded references count for P207 — a CB used solely inside
+    # a branch may be gated by the same runtime flag that decides whether
+    # the host configures it (the optional-RHS path of the generic
+    # stencil kernels does exactly this).
+    referenced: Set[int] = set()
+    for call, guarded in iter_calls_guarded(trace.nodes):
+        if guarded:
+            continue
+        for cb in _referenced_cbs(call):
+            if cb is not None and cb not in referenced:
+                referenced.add(cb)
+                summary.unguarded_refs.append(
+                    (cb, (trace.fn_name, call.filename, call.lineno)))
+    trace._cb_summary = summary
+    return summary
+
+
+def _cb_graph_rules(core, traces, configured: Dict[int, int],
+                    findings: List[Finding]) -> None:
+    if any(t.unavailable or t.truncated for t in traces):
+        return
+    summaries = [_cb_summary(trace) for trace in traces]
+    push_sites: Dict[int, _Site] = {}
+    wait_sites: Dict[int, _Site] = {}
+    consumers: Set[int] = set()
+    for summary in summaries:
+        for cb, site in summary.push_sites.items():
+            push_sites.setdefault(cb, site)
+        for cb, site in summary.wait_sites.items():
+            wait_sites.setdefault(cb, site)
+        consumers |= summary.consumers
     coord = getattr(core, "coord", None)
     where = f"core{coord}" if coord is not None else "core"
-    if not unknown_consume:
+    if not any(s.unknown_consume for s in summaries):
         for cb, (fn_name, filename, lineno) in sorted(push_sites.items()):
             if cb not in consumers:
                 findings.append(make_finding(
@@ -110,7 +153,7 @@ def _cb_graph_rules(core, specs, traces, configured: Dict[int, int],
                     f"CB {cb} is pushed by {fn_name} but no kernel on "
                     f"{where} ever waits on, pops or aliases it",
                     filename=filename, lineno=lineno, kernel=fn_name))
-    if not unknown_push:
+    if not any(s.unknown_push for s in summaries):
         for cb, (fn_name, filename, lineno) in sorted(wait_sites.items()):
             if cb not in push_sites:
                 findings.append(make_finding(
@@ -118,37 +161,45 @@ def _cb_graph_rules(core, specs, traces, configured: Dict[int, int],
                     f"{fn_name} waits on CB {cb} but no kernel on "
                     f"{where} ever pushes to it",
                     filename=filename, lineno=lineno, kernel=fn_name))
-    # P207: referenced but never configured.  Only unguarded references
-    # count — a CB used solely inside a branch may be gated by the same
-    # runtime flag that decides whether the host configures it (the
-    # optional-RHS path of the generic stencil kernels does exactly this).
+    # P207: referenced (unguarded) but never configured
     seen: Set[Tuple[str, int]] = set()
-    for trace in traces:
-        for call, guarded in iter_calls_guarded(trace.nodes):
-            if guarded:
+    for summary in summaries:
+        for cb, (fn_name, filename, lineno) in summary.unguarded_refs:
+            if cb in configured or (fn_name, cb) in seen:
                 continue
-            for cb in _referenced_cbs(call):
-                if cb is None or cb in configured:
-                    continue
-                key = (trace.fn_name, cb)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(make_finding(
-                    "P207",
-                    f"{trace.fn_name} references CB {cb}, which was "
-                    f"never configured on {where} "
-                    "(no CreateCircularBuffer)",
-                    filename=call.filename, lineno=call.lineno,
-                    kernel=trace.fn_name))
+            seen.add((fn_name, cb))
+            findings.append(make_finding(
+                "P207",
+                f"{fn_name} references CB {cb}, which was never "
+                f"configured on {where} (no CreateCircularBuffer)",
+                filename=filename, lineno=lineno, kernel=fn_name))
 
 
 # --------------------------------------------------------------------------
 # P203: static page demand vs. n_pages
 # --------------------------------------------------------------------------
 
-def _p203(trace: KernelTrace, configured: Dict[int, int],
-          findings: List[Finding]) -> None:
+def _p203(trace: KernelTrace, configured: Dict[int, int]) -> List[Finding]:
+    """P203 findings of one trace under one CB layout (memoized).
+
+    The verdict depends only on the trace and ``{cb_id: n_pages}``, so
+    every core of a launch, and every relaunch, with the same kernel and
+    layout shares one walk.
+    """
+    memo = getattr(trace, "_p203_memo", None)
+    if memo is None:
+        memo = trace._p203_memo = {}
+    layout = tuple(sorted(configured.items()))
+    cached = memo.get(layout)
+    if cached is None:
+        cached = []
+        _p203_walk(trace, configured, cached)
+        memo[layout] = cached
+    return cached
+
+
+def _p203_walk(trace: KernelTrace, configured: Dict[int, int],
+               findings: List[Finding]) -> None:
     from .trace import Branch, Loop, Opaque
 
     # single-op demand: one reserve/wait can never exceed n_pages
@@ -390,12 +441,12 @@ def program_findings(program) -> List[Finding]:
         for cb_id, cb in getattr(core, "cbs", {}).items():
             configured.setdefault(cb_id, cb.n_pages)
         traces = [extract_trace(spec.fn) for spec in specs]
-        _cb_graph_rules(core, specs, traces, configured, findings)
+        _cb_graph_rules(core, traces, configured, findings)
         _p204(core, findings)
         for spec, trace in zip(specs, traces):
             if trace.unavailable:
                 continue
-            _p203(trace, configured, findings)
+            findings.extend(_p203(trace, configured))
             _p205(spec, trace, findings)
             _p206(spec, trace, device, findings)
     findings.sort(key=lambda f: (f.rule_id, f.kernel, f.lineno))

@@ -77,6 +77,30 @@ class TestTileMath:
                               bits_to_f32(f32_to_bits(
                                   np.arange(1024, dtype=np.float32))))
 
+    def test_registers_do_not_alias_l1(self, sim, rig):
+        """Unpacked operands are fresh arrays: rewriting L1 leaves dst."""
+        cbs, fill = rig
+        fill(0, np.full(1024, 1.5))
+        fill(1, np.full(1024, 2.0))
+        fp32 = CircularBuffer(sim, cbs[0].sram, 3, page_size=2048,
+                              n_pages=1, dtype="fp32")
+        fp32.reserve_back(1)
+        sim.run()
+        fp32.back_view_bits()[:] = np.full(512, 4.0, np.float32).view(
+            np.uint32)
+        fp32.push_back(1)
+        fpu = Fpu()
+        fpu.acquire_dst()
+        fpu.copy_tile(cbs[0], 0, 0)
+        fpu.add_tiles(cbs[0], cbs[1], 0, 0, 1)
+        fpu.copy_tile(fp32, 0, 2)
+        cbs[0].front_view_u16()[:] = 0
+        cbs[1].front_view_u16()[:] = 0
+        fp32.front_view_bits()[:] = 0
+        assert np.all(fpu.dst_value_f32(0) == 1.5)
+        assert np.all(fpu.dst_value_f32(1) == 3.5)
+        assert np.all(fpu.dst_value_f32(2) == 4.0)
+
     def test_accumulate_into_dst(self, rig):
         cbs, fill = rig
         fill(0, np.full(1024, 1.5))

@@ -170,3 +170,74 @@ class TestArithmeticSemantics:
         out = bits_to_f32(bf16_add(a, b))
         assert out.shape == (32, 32)
         assert np.all(out == 3.0)
+
+
+# -- differential check against the original twelve-op conversion ----------
+#
+# Reference: the masked-NaN implementation f32_to_bits replaced, kept
+# verbatim so the minimal chain is held to it bit for bit.
+
+_EXP_MASK = np.uint32(0x7F80_0000)
+_MAN_MASK = np.uint32(0x007F_FFFF)
+_QUIET_BIT16 = np.uint16(0x0040)
+
+
+def reference_f32_to_bits(x: np.ndarray | float) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float32)
+    shape = arr.shape
+    f32 = np.ascontiguousarray(arr).reshape(-1)
+    u32 = f32.view(np.uint32)
+    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part.
+    lsb = (u32 >> np.uint32(16)) & np.uint32(1)
+    rounded = u32 + np.uint32(0x7FFF) + lsb
+    bits = (rounded >> np.uint32(16)).astype(np.uint16)
+    # NaN inputs: rounding bias may carry into the exponent; force a quiet
+    # NaN with the sign preserved instead.
+    is_nan = ((u32 & _EXP_MASK) == _EXP_MASK) & ((u32 & _MAN_MASK) != 0)
+    if is_nan.any():
+        sign = ((u32 >> np.uint32(16)) & np.uint32(0x8000)).astype(np.uint16)
+        bits = np.where(is_nan, sign | np.uint16(0x7FC0) | _QUIET_BIT16, bits)
+    return bits.reshape(shape)
+
+
+def assert_same_conversion(x):
+    got, want = f32_to_bits(x), reference_f32_to_bits(x)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype == np.uint16
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+class TestDifferential:
+    #: low halves around the rounding boundary: exact, sticky, just below
+    #: half, tie, just above half, and all ones (carry into the exponent)
+    LOW_HALVES = (0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF)
+
+    def test_every_upper_half_against_reference(self):
+        """All 2^16 upper halves (NaN payloads, ±inf, subnormals, carry)."""
+        upper = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
+        low = np.array(self.LOW_HALVES, dtype=np.uint32)
+        u32 = (upper[:, None] | low[None, :]).reshape(-1)
+        x = u32.view(np.float32)
+        assert np.isnan(x).any() and np.isinf(x).sum() == 2
+        got = f32_to_bits(x)
+        want = reference_f32_to_bits(x)
+        mismatch = np.flatnonzero(got != want)
+        assert mismatch.size == 0, [hex(int(u32[i])) for i in mismatch[:8]]
+
+    @pytest.mark.parametrize("x", [
+        np.array(1.5, dtype=np.float32),
+        np.array(np.nan, dtype=np.float32),
+        1.0 + 2 ** -8,
+        float("-nan"),
+        np.float32(3.0),
+        np.linspace(-3, 3, 17),                                 # float64
+        np.arange(24, dtype=np.float32).reshape(4, 6) / 7,
+        np.arange(24, dtype=np.float32).reshape(4, 6).T,        # F-order
+        (np.arange(64, dtype=np.float32) / 3)[::3],             # strided
+        np.array([], dtype=np.float32),
+    ], ids=["0d", "0d-nan", "py-float", "py-nan", "f32-scalar", "float64",
+            "2d", "transposed", "strided", "empty"])
+    def test_shape_dtype_and_layout(self, x):
+        assert_same_conversion(x)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import lint
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
+from repro.lint.export import report_to_json, to_json_text
 from repro.ttmetal import (
     CreateCircularBuffer,
     CreateKernel,
@@ -193,3 +194,112 @@ class TestArgsAndAlignment:
         buf = create_buffer(device, 512, interleaved=True, page_size=128)
         prog = build(device, [(kernel, DATA_MOVER_0, {"src": buf})])
         assert rule_ids(lint.lint_program(prog)) == set()
+
+
+def build_cores(device, layout, kernels, extra_cbs=()):
+    """Assemble one program running ``kernels`` on several cores.
+
+    ``layout`` maps each core coordinate to the ``n_pages`` of its CB 0;
+    ``extra_cbs`` lists ``(coord, cb_id)`` pairs configured besides it.
+    """
+    prog = Program(device)
+    for coord, pages in layout.items():
+        core = device.core(*coord)
+        CreateCircularBuffer(prog, core, 0, 64, pages)
+        for extra_coord, cb_id in extra_cbs:
+            if extra_coord == coord:
+                CreateCircularBuffer(prog, core, cb_id, 64, 2)
+        for fn, slot in kernels:
+            CreateKernel(prog, fn, core, slot, {})
+    return prog
+
+
+def report_json(prog):
+    return to_json_text(report_to_json(lint.lint_program(prog)))
+
+
+def p203_messages(prog):
+    return sorted(f.message for f in lint.lint_program(prog).findings
+                  if f.rule_id == "P203")
+
+
+class TestPerTraceMemo:
+    """P203 is memoized per (trace, CB layout); the CB summary per trace.
+
+    Kernels are defined inside each test so every test starts from a
+    fresh trace, and the memo state is exactly what the test built.
+    """
+
+    def test_relint_and_rebuild_are_byte_identical(self, device):
+        def producer(ctx):
+            yield from ctx.cb_reserve_back(0, 2)
+            yield from ctx.cb_reserve_back(0, 2)
+            yield from ctx.cb_reserve_back(0, 2)
+            yield from ctx.cb_push_back(0, 6)
+
+        def consumer(ctx):
+            yield from ctx.cb_wait_front(0, 1)
+            yield from ctx.cb_pop_front(0, 1)
+            yield from ctx.cb_wait_front(3, 1)
+        kernels = [(producer, DATA_MOVER_0), (consumer, COMPUTE)]
+        layout = {(0, 0): 4, (0, 1): 5, (1, 0): 8}
+        prog = build_cores(device, layout, kernels)
+        first = report_json(prog)
+        assert report_json(prog) == first
+        device.release_launch_state()
+        rebuilt = build_cores(device, layout, kernels)
+        assert report_json(rebuilt) == first
+        # one P203 per core whose layout deadlocks, each with its own
+        # n_pages: a memo keyed on the trace alone would report only one
+        messages = p203_messages(rebuilt)
+        assert len(messages) == 2
+        assert "(n_pages=4)" in messages[0]
+        assert "(n_pages=5)" in messages[1]
+
+    def test_smaller_layout_on_one_core_is_not_a_stale_hit(self, device):
+        def producer(ctx):
+            yield from ctx.cb_reserve_back(0, 2)
+            yield from ctx.cb_reserve_back(0, 2)
+            yield from ctx.cb_reserve_back(0, 2)
+            yield from ctx.cb_push_back(0, 6)
+
+        def consumer(ctx):
+            yield from ctx.cb_wait_front(0, 1)
+            yield from ctx.cb_pop_front(0, 1)
+        kernels = [(producer, DATA_MOVER_0), (consumer, COMPUTE)]
+        roomy = {(0, 0): 8, (0, 1): 8, (1, 0): 8}
+        assert p203_messages(build_cores(device, roomy, kernels)) == []
+        device.release_launch_state()
+        tight = dict(roomy)
+        tight[(0, 1)] = 5
+        (message,) = p203_messages(build_cores(device, tight, kernels))
+        assert "(n_pages=5)" in message
+        device.release_launch_state()
+        assert p203_messages(build_cores(device, roomy, kernels)) == []
+
+    def test_cb_graph_messages_name_their_core(self, device):
+        def producer(ctx):
+            yield from ctx.cb_reserve_back(0, 1)
+            yield from ctx.cb_push_back(0, 1)
+            yield from ctx.cb_reserve_back(6, 1)
+            yield from ctx.cb_push_back(6, 1)
+
+        def consumer(ctx):
+            yield from ctx.cb_wait_front(1, 1)
+            yield from ctx.cb_pop_front(1, 1)
+        kernels = [(producer, DATA_MOVER_0), (consumer, COMPUTE)]
+        layout = {(0, 0): 2, (0, 1): 2}
+        # CB 6 is configured on core (0, 1) only, so P207 fires on (0, 0)
+        prog = build_cores(device, layout, kernels,
+                           extra_cbs=[((0, 0), 1), ((0, 1), 1), ((0, 1), 6)])
+        by_rule = {}
+        for f in lint.lint_program(prog).findings:
+            by_rule.setdefault(f.rule_id, []).append(f.message)
+        assert set(by_rule) == {"P201", "P202", "P207"}
+        for rule in ("P201", "P202"):
+            messages = " ".join(by_rule[rule])
+            assert "core(0, 0)" in messages and "core(0, 1)" in messages
+        assert len(by_rule["P201"]) == 4      # CBs 0 and 6 on each core
+        assert len(by_rule["P202"]) == 2      # CB 1 on each core
+        (p207,) = by_rule["P207"]
+        assert "CB 6" in p207 and "core(0, 0)" in p207
