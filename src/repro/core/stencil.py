@@ -40,9 +40,10 @@ from repro.core.grid import AlignedDomain, LaplaceProblem
 from repro.core.jacobi_initial import DeviceRunResult
 from repro.dtypes.bf16 import (
     BF16_BYTES,
-    bf16_add,
-    bf16_mul,
+    bf16_high_bits,
     bf16_round,
+    bf16_round_f32,
+    bits_to_f32,
     f32_to_bits,
 )
 from repro.dtypes.tiles import TILE_ELEMS
@@ -150,38 +151,49 @@ def stencil_step_bf16(bits: np.ndarray, spec: StencilSpec,
     ``out = Σ cₖ·uₖ + rhs`` — the inhomogeneous term that makes
     defect-correction solves possible (see :mod:`repro.core.refinement`).
     """
-    b = np.asarray(bits, dtype=np.uint16)
-    windows = {
-        CB_C: b[1:-1, 1:-1], CB_W: b[1:-1, :-2], CB_E: b[1:-1, 2:],
-        CB_N: b[:-2, 1:-1], CB_S: b[2:, 1:-1],
-    }
-    acc = None
-    for cb, name, _off, _row in spec.active_terms():
-        coef = np.broadcast_to(f32_to_bits(np.float32(getattr(spec, name))),
-                               windows[cb].shape)
-        term = bf16_mul(coef, windows[cb])
-        acc = term if acc is None else bf16_add(term, acc)
-    if rhs_bits is not None:
-        r = np.asarray(rhs_bits, dtype=np.uint16)
-        if r.shape != windows[CB_C].shape:
-            raise ValueError(
-                f"rhs must be the interior shape {windows[CB_C].shape}, "
-                f"got {r.shape}")
-        acc = r.copy() if acc is None else bf16_add(r, acc)
-    out = b.copy()
-    out[1:-1, 1:-1] = acc if acc is not None else 0
-    return out
+    return stencil_solve_bf16(bits, spec, 1, rhs_bits)
 
 
 def stencil_solve_bf16(bits: np.ndarray, spec: StencilSpec,
                        iterations: int,
                        rhs_bits: Optional[np.ndarray] = None) -> np.ndarray:
+    """``iterations`` sweeps of :func:`stencil_step_bf16`.
+
+    The grid is unpacked once; each ``mul_tiles``/``add_tiles`` + pack of
+    the kernel is a float32 op followed by one BF16 rounding, and the
+    boundary keeps its input bits exactly.
+    """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    b = np.asarray(bits, dtype=np.uint16).copy()
-    for _ in range(iterations):
-        b = stencil_step_bf16(b, spec, rhs_bits)
-    return b
+    u = bits_to_f32(np.asarray(bits, dtype=np.uint16))
+    interior = u[1:-1, 1:-1]
+    rhs = None
+    if rhs_bits is not None:
+        r = np.asarray(rhs_bits, dtype=np.uint16)
+        if r.shape != interior.shape:
+            raise ValueError(
+                f"rhs must be the interior shape {interior.shape}, "
+                f"got {r.shape}")
+        rhs = bits_to_f32(r)
+    coefs = [(cb, np.full(interior.shape, bf16_round(getattr(spec, name))))
+             for cb, name, _off, _row in spec.active_terms()]
+    win = np.ascontiguousarray   # see bf16_round_f32 on operand layout
+    # overflow to ±inf and inf−inf → NaN are the FPU's IEEE semantics
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            windows = {
+                CB_C: u[1:-1, 1:-1], CB_W: u[1:-1, :-2], CB_E: u[1:-1, 2:],
+                CB_N: u[:-2, 1:-1], CB_S: u[2:, 1:-1],
+            }
+            acc = None
+            for cb, coef in coefs:
+                term = bf16_round_f32(coef * win(windows[cb]))
+                acc = term if acc is None else bf16_round_f32(term + acc)
+            if rhs is not None:
+                acc = rhs if acc is None else bf16_round_f32(rhs + acc)
+            # every window was read before this write
+            u[1:-1, 1:-1] = acc if acc is not None else 0
+    return bf16_high_bits(u)
 
 
 def stencil_step_fp32(grid: np.ndarray, spec: StencilSpec,

@@ -10,7 +10,11 @@ Three functional implementations:
   model of the Grayskull compute kernel: the operation order and rounding
   points mirror Listing 2 exactly — ``(x−1 + x+1)`` packed to BF16, then
   ``+ y−1`` packed, then ``+ y+1`` packed, then ``× 0.25`` packed.  The
-  simulated device must reproduce this bit-for-bit.
+  simulated device must reproduce this bit-for-bit.  The oracle runs in
+  the float32 domain: it unpacks the grid once, rounds every float32 op
+  with :func:`~repro.dtypes.bf16.bf16_round_f32` (the same rounding rule
+  as ``pack_tile``) and takes the BF16 bits back from the high halves of
+  the words, so boundary cells keep their input bits exactly.
 * :func:`solve_direct` — the exact solution of the discrete 5-point
   Laplace system via a sparse direct solve (SciPy), used as the
   convergence oracle in tests and examples.
@@ -23,7 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dtypes.bf16 import bf16_add, bf16_mul, bits_to_f32, f32_to_bits
+from repro.dtypes.bf16 import (
+    bf16_high_bits,
+    bf16_round,
+    bf16_round_f32,
+    bits_to_f32,
+)
 
 __all__ = [
     "jacobi_step_f32",
@@ -72,32 +81,36 @@ def jacobi_step_bf16(bits: np.ndarray) -> np.ndarray:
     output element, in this order::
 
         t1 = pack(u[y, x-1] + u[y, x+1])
-        t2 = pack(t1 + u[y-1, x])
-        t3 = pack(t2 + u[y+1, x])
-        out = pack(t3 * 0.25)
+        t2 = pack(u[y-1, x] + t1)
+        t3 = pack(u[y+1, x] + t2)
+        out = pack(0.25 * t3)
     """
-    _check_halo(bits)
-    b = np.asarray(bits, dtype=np.uint16)
-    west, east = b[1:-1, :-2], b[1:-1, 2:]
-    north, south = b[:-2, 1:-1], b[2:, 1:-1]
-    quarter = f32_to_bits(np.float32(0.25))
-    t = bf16_add(west, east)
-    t = bf16_add(north, t)          # Listing 2: add_tiles(cb_in2, intermediate)
-    t = bf16_add(south, t)
-    t = bf16_mul(np.broadcast_to(quarter, t.shape), t)
-    out = b.copy()
-    out[1:-1, 1:-1] = t
-    return out
+    return jacobi_solve_bf16(bits, 1)
 
 
 def jacobi_solve_bf16(bits0: np.ndarray, iterations: int) -> np.ndarray:
-    """Run ``iterations`` BF16 sweeps (the oracle for the simulated card)."""
+    """Run ``iterations`` BF16 sweeps (the oracle for the simulated card).
+
+    The grid is unpacked once and every op runs in float32 followed by
+    one BF16 rounding; the boundary keeps its input bits exactly.
+    """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    b = np.asarray(bits0, dtype=np.uint16).copy()
-    for _ in range(iterations):
-        b = jacobi_step_bf16(b)
-    return b
+    b = np.asarray(bits0, dtype=np.uint16)
+    _check_halo(b)
+    u = bits_to_f32(b)
+    quarter = bf16_round(np.float32(0.25))
+    win = np.ascontiguousarray   # see bf16_round_f32 on operand layout
+    # overflow to ±inf and inf−inf → NaN are the FPU's IEEE semantics
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            t = bf16_round_f32(win(u[1:-1, :-2]) + win(u[1:-1, 2:]))
+            # Listing 2: add_tiles(cb_in2, intermediate)
+            t = bf16_round_f32(win(u[:-2, 1:-1]) + t)
+            t = bf16_round_f32(win(u[2:, 1:-1]) + t)
+            # the sweep reads only the previous iterate, and t is complete
+            u[1:-1, 1:-1] = bf16_round_f32(quarter * t)
+    return bf16_high_bits(u)
 
 
 def residual_f32(u: np.ndarray) -> float:

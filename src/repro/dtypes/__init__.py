@@ -11,8 +11,10 @@ the 32×32-element tile geometry the FPU operates on.
 from repro.dtypes.bf16 import (
     BF16_BYTES,
     bf16_add,
+    bf16_high_bits,
     bf16_mul,
     bf16_round,
+    bf16_round_f32,
     bf16_sub,
     bits_to_f32,
     f32_to_bits,
@@ -33,8 +35,10 @@ __all__ = [
     "TILE_NBYTES",
     "Tile",
     "bf16_add",
+    "bf16_high_bits",
     "bf16_mul",
     "bf16_round",
+    "bf16_round_f32",
     "bf16_sub",
     "bits_to_f32",
     "f32_to_bits",

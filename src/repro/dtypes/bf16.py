@@ -3,13 +3,25 @@
 BF16 is the top 16 bits of an IEEE-754 binary32.  Conversion from float32
 uses round-to-nearest-even on the truncated 16 bits, which is what the
 Grayskull's packer implements.  NaNs are quietened (the payload could
-otherwise round to infinity).
+otherwise round to infinity).  That rule lives in one routine,
+``_rne_words``; :func:`f32_to_bits` returns its upper halves as ``uint16``
+bit patterns and :func:`bf16_round_f32` returns them as float32 values
+with the low halves cleared.
 
 Arithmetic helpers model the Tensix FPU contract used by the paper's
 kernels: operands are **unpacked** from BF16 to the internal format,
 computed at float32 precision, and the result is **packed** back to BF16
 (one rounding per ``pack_tile``).  This matches tt-metal's
 ``add_tiles``/``mul_tiles`` + ``pack_tile`` sequence in Listing 2.
+
+Host oracles that chain many such ops (the Jacobi, 5-point and 9-point
+stencil references) stay in the float32 domain instead of round-tripping
+through bit patterns: unpack once with :func:`bits_to_f32`, follow every
+float32 op with :func:`bf16_round_f32`, and read the answer back with
+:func:`bf16_high_bits`.  A value on the BF16 grid unpacks to exactly the
+word that ``bf16_round_f32`` produces, so the chain is bit-identical to
+packing after every op, and cells no op touched keep their input bits,
+NaN payloads included.
 """
 
 from __future__ import annotations
@@ -21,6 +33,8 @@ __all__ = [
     "f32_to_bits",
     "bits_to_f32",
     "bf16_round",
+    "bf16_round_f32",
+    "bf16_high_bits",
     "bf16_add",
     "bf16_sub",
     "bf16_mul",
@@ -33,8 +47,30 @@ BF16_BYTES = 2
 _SHIFT16 = np.uint32(16)
 _ONE = np.uint32(1)
 _RNE_BIAS = np.uint32(0x7FFF)
-_SIGN32_HI = np.uint32(0x8000)
-_QUIET_NAN16 = np.uint16(0x7FC0)
+_SIGN32 = np.uint32(0x8000_0000)
+_QUIET_NAN32 = np.uint32(0x7FC0_0000)
+_HIGH16 = np.uint32(0xFFFF_0000)
+
+
+def _rne_words(f32: np.ndarray) -> np.ndarray:
+    """The BF16 rounding rule: fresh ``uint32`` words whose upper halves
+    are the BF16 bits of the float32 array ``f32`` (``ndim >= 1``).
+
+    Rounds to nearest, ties to even, by adding ``0x7FFF`` plus the LSB of
+    the retained half (``uint32`` arithmetic wraps, so the in-place order
+    is immaterial).  The low halves of the result are junk.
+    """
+    u32 = f32.view(np.uint32)
+    words = u32 >> _SHIFT16
+    words &= _ONE
+    words += _RNE_BIAS
+    words += u32
+    # NaN inputs: the bias may carry into the exponent; force a quiet NaN
+    # with the sign preserved instead.
+    is_nan = np.isnan(f32)
+    if is_nan.any():
+        words = np.where(is_nan, (u32 & _SIGN32) | _QUIET_NAN32, words)
+    return words
 
 
 def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
@@ -47,24 +83,41 @@ def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float32)
     # ascontiguousarray lifts a 0-d input to shape (1,), so the ufuncs
-    # below return arrays rather than NumPy scalars
-    f32 = np.ascontiguousarray(arr)
-    u32 = f32.view(np.uint32)
-    # round-to-nearest-even: add 0x7FFF plus the LSB of the retained part
-    # (uint32 arithmetic wraps, so the in-place order is immaterial).
-    rounded = u32 >> _SHIFT16
-    rounded &= _ONE
-    rounded += _RNE_BIAS
-    rounded += u32
-    rounded >>= _SHIFT16
-    bits = rounded.astype(np.uint16)
-    # NaN inputs: rounding bias may carry into the exponent; force a quiet
-    # NaN with the sign preserved instead.
-    is_nan = np.isnan(f32)
-    if is_nan.any():
-        sign = ((u32 >> _SHIFT16) & _SIGN32_HI).astype(np.uint16)
-        bits = np.where(is_nan, sign | _QUIET_NAN16, bits)
+    # in _rne_words return arrays rather than NumPy scalars
+    words = _rne_words(np.ascontiguousarray(arr))
+    words >>= _SHIFT16
+    bits = words.astype(np.uint16)
     return bits if arr.ndim else bits.reshape(())
+
+
+def bf16_round_f32(f32: np.ndarray) -> np.ndarray:
+    """Round a float32 array (``ndim >= 1``) to BF16, staying in float32.
+
+    The result is a fresh array whose words are the BF16 bits followed by
+    sixteen zero bits: the value :func:`bits_to_f32` would unpack from
+    ``f32_to_bits(f32)``.
+
+    Operand layout matters to a chain that must match :func:`bf16_add`
+    and friends bit for bit.  IEEE 754 leaves open which NaN an op on two
+    NaNs returns, and NumPy's SIMD loops pick by lane position (the tail
+    of a contiguous run takes the other operand), so chains feed every
+    op C-contiguous operands of the result's shape, as the bit-pattern
+    helpers do.
+    """
+    words = _rne_words(f32)
+    words &= _HIGH16
+    return words.view(np.float32)
+
+
+def bf16_high_bits(f32: np.ndarray) -> np.ndarray:
+    """BF16 bit patterns of float32 values already on the BF16 grid.
+
+    Takes the upper half of every word without rounding, so the output of
+    :func:`bf16_round_f32`, or an unpacked input cell, converts back
+    exactly, NaN payload included.
+    """
+    return (np.asarray(f32, dtype=np.float32).view(np.uint32)
+            >> _SHIFT16).astype(np.uint16)
 
 
 def bits_to_f32(bits: np.ndarray) -> np.ndarray:

@@ -17,11 +17,11 @@ butterfly), leaving natural row order for the writer.
 
 fp32 CBs pack losslessly, so the device arithmetic is a fixed sequence
 of float32 elementwise operations.  :func:`fft_reference_bits` replays
-exactly that sequence in NumPy — the device readback is **bit-exact**
-against it.  Accuracy against ``numpy.fft`` (double precision) is
-checked separately per pencil and must stay within
-:data:`FFT_ULP_BOUND` ULPs of the pencil's peak magnitude; the bound
-was calibrated empirically over n in 16..1024 (observed max ~3 ULP for
+exactly that sequence in NumPy, one whole stage per set of array ops —
+the device readback is **bit-exact** against it.  Accuracy against
+``numpy.fft`` (double precision) is checked separately per pencil and
+must stay within :data:`FFT_ULP_BOUND` ULPs of the pencil's peak
+magnitude; the bound was calibrated empirically over n in 16..1024 (observed max ~3 ULP for
 uniform [-1,1) inputs) with generous headroom for adversarial inputs.
 
 Multi-core: the batch axis is carved with ``split_extent`` across all
@@ -86,8 +86,7 @@ class FftProblem:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ValueError(f"FFT length must be a power of two, got {self.n}")
+        _check_length(self.n)
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
 
@@ -103,8 +102,14 @@ class FftProblem:
         return re + 1j * im
 
 
+def _check_length(n: int) -> None:
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"FFT length must be a power of two, got {n}")
+
+
 def bit_reverse_indices(n: int) -> np.ndarray:
     """Row permutation applied by the host before the upload."""
+    _check_length(n)
     bits = int(np.log2(n))
     idx = np.arange(n)
     rev = np.zeros(n, dtype=np.int64)
@@ -126,32 +131,36 @@ def fft_reference_bits(x: np.ndarray) -> np.ndarray:
     """Replay the device's exact float32 butterfly sequence in NumPy.
 
     ``x``: complex64 ``(n, batch)`` in natural order.  Returns complex64
-    ``(n, batch)`` bit-identical to the device readback.
+    ``(n, batch)`` bit-identical to the device readback.  Each stage runs
+    all of its butterflies at once: they touch disjoint row pairs, so
+    every element sees the same float32 ops in the same order as on the
+    device.  The one thing the layout can change is which NaN an add or
+    multiply of two different NaNs returns: IEEE 754 leaves that open
+    and NumPy's SIMD loops pick by lane position.
     """
     n = x.shape[0]
     rev = bit_reverse_indices(n)
-    xr = np.ascontiguousarray(x.real, dtype=np.float32)[rev].copy()
-    xi = np.ascontiguousarray(x.imag, dtype=np.float32)[rev].copy()
+    xr = np.ascontiguousarray(x.real, dtype=np.float32)[rev]
+    xi = np.ascontiguousarray(x.imag, dtype=np.float32)[rev]
     twr, twi = twiddle_tables(n)
     m = 2
     while m <= n:
         half, step = m // 2, n // m
-        for base in range(0, n, m):
-            for j in range(half):
-                wr, wi = twr[j * step], twi[j * step]
-                i1, i2 = base + j, base + j + half
-                p1 = (wr * xr[i2]).astype(np.float32)
-                p2 = (wi * xi[i2]).astype(np.float32)
-                tr = (p1 - p2).astype(np.float32)
-                q1 = (wr * xi[i2]).astype(np.float32)
-                q2 = (wi * xr[i2]).astype(np.float32)
-                ti = (q1 + q2).astype(np.float32)
-                yr2 = (xr[i1] - tr).astype(np.float32)
-                yr1 = (xr[i1] + tr).astype(np.float32)
-                yi2 = (xi[i1] - ti).astype(np.float32)
-                yi1 = (xi[i1] + ti).astype(np.float32)
-                xr[i2], xr[i1] = yr2, yr1
-                xi[i2], xi[i1] = yi2, yi1
+        # rows base + j (top) and base + j + half (bottom) of every block
+        # of m rows; twiddle j * step for butterfly j of the block
+        vr = xr.reshape((step, 2, half) + x.shape[1:])
+        vi = xi.reshape((step, 2, half) + x.shape[1:])
+        tw_shape = (half,) + (1,) * (x.ndim - 1)
+        wr = twr[::step].reshape(tw_shape)
+        wi = twi[::step].reshape(tw_shape)
+        top_r, bot_r = vr[:, 0], vr[:, 1]
+        top_i, bot_i = vi[:, 0], vi[:, 1]
+        tr = wr * bot_r - wi * bot_i
+        ti = wr * bot_i + wi * bot_r
+        yr2, yr1 = top_r - tr, top_r + tr
+        yi2, yi1 = top_i - ti, top_i + ti
+        bot_r[...], top_r[...] = yr2, yr1
+        bot_i[...], top_i[...] = yi2, yi1
         m *= 2
     return (xr + 1j * xi).astype(np.complex64)
 

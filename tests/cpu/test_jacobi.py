@@ -44,6 +44,12 @@ class TestF32Step:
         with pytest.raises(ValueError):
             jacobi_step_f32(np.zeros((2, 2), dtype=np.float32))
 
+    def test_bf16_tiny_grid_rejected_at_any_iteration_count(self):
+        for iterations in (0, 1):
+            with pytest.raises(ValueError, match="halo grid"):
+                jacobi_solve_bf16(np.zeros((2, 5), dtype=np.uint16),
+                                  iterations)
+
     def test_matches_scalar_listing1(self, rng):
         """The vectorised sweep equals the paper's Listing-1 scalar loop."""
         u = rng.normal(size=(10, 12)).astype(np.float32)

@@ -53,6 +53,15 @@ class TestHelpers:
         rev = bit_reverse_indices(16)
         assert np.array_equal(rev[rev], np.arange(16))
 
+    @pytest.mark.parametrize("n", [0, 1, 6, 24])
+    def test_bit_reverse_rejects_non_power_of_two(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            bit_reverse_indices(n)
+
+    def test_mirror_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fft_reference_bits(np.zeros((6, 2), dtype=np.complex64))
+
     def test_twiddles_are_unit_circle_points(self):
         twr, twi = twiddle_tables(32)
         assert twr.shape == twi.shape == (16,)

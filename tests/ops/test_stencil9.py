@@ -49,6 +49,21 @@ class TestReference:
         assert np.array_equal(g1[:, 0], g0[:, 0])
         assert np.array_equal(g1[:, -1], g0[:, -1])
 
+    @pytest.mark.parametrize("shape", [(2, 34), (10, 2), (1, 1), (34,)])
+    def test_rejects_grids_smaller_than_3x3(self, shape):
+        with pytest.raises(ValueError, match="halo grid"):
+            stencil9_reference_bits(np.zeros(shape, dtype=np.uint16), 1)
+
+    def test_rejects_negative_iters(self):
+        g = Stencil9Problem(nx=32, ny=4).halo_grid_bits()
+        with pytest.raises(ValueError, match="non-negative"):
+            stencil9_reference_bits(g, -1)
+
+    def test_zero_iters_returns_a_copy(self):
+        g = Stencil9Problem(nx=32, ny=4).halo_grid_bits()
+        out = stencil9_reference_bits(g, 0)
+        assert np.array_equal(out, g) and not np.shares_memory(out, g)
+
     def test_iterations_compose(self):
         p = Stencil9Problem(nx=32, ny=8, seed=2)
         g0 = p.halo_grid_bits()
