@@ -14,13 +14,13 @@ kernels touch:
   1024-element tiles, destination registers, pack/unpack).
 * :mod:`repro.arch.tensix` — a Tensix core: two data-mover baby cores and
   the logical compute core, semaphores, CBs.
-* :mod:`repro.arch.device` / :mod:`repro.arch.cluster` — the e150 (120
-  cores, 108 workers, PCIe host link) and multi-card machines.
+* :mod:`repro.arch.device` — the e150 (120 cores, 108 workers, PCIe host
+  link).  Multi-card machines are :mod:`repro.cluster`: one device per
+  card, with the wall/stall/energy ledger kept by its solver.
 * :mod:`repro.arch.energy` — TT-SMI-style energy accounting.
 """
 
 from repro.arch.cb import CircularBuffer
-from repro.arch.cluster import Cluster
 from repro.arch.device import GrayskullDevice
 from repro.arch.dram import Dram, DramBank
 from repro.arch.energy import EnergyMeter
@@ -31,7 +31,6 @@ from repro.arch.tensix import TensixCore
 
 __all__ = [
     "CircularBuffer",
-    "Cluster",
     "Dram",
     "DramBank",
     "EnergyMeter",

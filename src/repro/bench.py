@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.report import sha16
+
 SCHEMA = "repro-bench/1"
 
 #: default committed baseline for ``--smoke --check`` (repo-relative)
@@ -176,14 +178,6 @@ def _bench_noc_burst(smoke: bool) -> Tuple[float, float, Dict[str, object]]:
 # macro benchmarks
 # --------------------------------------------------------------------------
 
-def _grid_hash(grid_bits) -> str:
-    import hashlib
-
-    import numpy as np
-    return hashlib.sha256(
-        np.ascontiguousarray(grid_bits).tobytes()).hexdigest()[:16]
-
-
 def _run_jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
                 iterations: int) -> Tuple[float, Dict[str, object]]:
     from repro.arch.device import GrayskullDevice
@@ -198,7 +192,7 @@ def _run_jacobi(nx: int, ny: int, cores_y: int, cores_x: int,
     wall = time.perf_counter() - t0
     inv = {"events": dev.sim.events_processed, "sim_now": dev.sim.now,
            "kernel_time_s": res.kernel_time_s,
-           "grid_sha": _grid_hash(res.grid_bits)}
+           "grid_sha": sha16(res.grid_bits)}
     return wall, inv
 
 
@@ -257,8 +251,6 @@ def _bench_serve_smoke(smoke: bool) -> Tuple[float, float,
     scheduling, batching, retry handling or the solve post-pass shows
     up as a semantic change, not noise.
     """
-    import hashlib
-
     from repro.serve import LoadGenConfig, run_loadgen
 
     n = 48 if smoke else 192
@@ -270,8 +262,7 @@ def _bench_serve_smoke(smoke: bool) -> Tuple[float, float,
     wall = time.perf_counter() - t0
     counters = report.metrics.counters
     inv = {
-        "report_sha": hashlib.sha256(
-            report.to_json_text().encode()).hexdigest()[:16],
+        "report_sha": sha16(report.to_json_text()),
         "sim_now": report.duration_s,
         "requests": len(report.outcomes),
         "completed": counters.get("completed", 0),
@@ -297,8 +288,6 @@ def _bench_chaos_smoke(smoke: bool) -> Tuple[float, float,
     order, health-breaker transitions or retry backoff is a semantic
     change, not noise.
     """
-    import hashlib
-
     from repro.serve import (ChaosConfig, LoadGenConfig, run_loadgen,
                              summarize_chaos_run, verify_chaos_report)
 
@@ -341,8 +330,6 @@ def _bench_cluster_smoke(smoke: bool) -> Tuple[float, float,
     any drift in the decomposition, exchange order, halo cost model or
     report rendering is a semantic change, not noise.
     """
-    import hashlib
-
     from repro.cluster import (cluster_sweep_configs, doc_to_json,
                                render_cluster_report, run_cluster_sweep,
                                sweep_to_doc)
@@ -358,8 +345,8 @@ def _bench_cluster_smoke(smoke: bool) -> Tuple[float, float,
     report = render_cluster_report("weak", points)
     text = doc_to_json(sweep_to_doc("weak", points))
     inv = {
-        "report_sha": hashlib.sha256(report.encode()).hexdigest()[:16],
-        "json_sha": hashlib.sha256(text.encode()).hexdigest()[:16],
+        "report_sha": sha16(report),
+        "json_sha": sha16(text),
         "points": len(points),
         "bit_identical": sum(1 for p in points if p["bit_identical"]),
         "exchange_bytes": sum(p["exchange_bytes"] for p in points),

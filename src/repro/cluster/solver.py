@@ -31,6 +31,8 @@ energy identity
     ``energy_j == Σ busy_energy_i + Σ stall_i · idle_w``
 
 holds exactly by construction (pinned by ``tests/cluster/test_accounting``).
+This ledger is the only multi-card account: under DES timing the per-card
+devices supply busy time and busy energy, and nothing else.
 
 Card failures (``FaultPlan.card_failures``) follow the solver-level
 resilience pattern: with ``checkpoint_every`` set the solve rolls back to
@@ -47,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.arch.device import GrayskullDevice
 from repro.cluster.halo import HaloCosts, HaloExchangeModel
 from repro.cluster.topology import (
     apply_exchange,
@@ -177,8 +180,8 @@ class ClusterSolver:
         self.config = config
         self.costs = costs
         self.halo = HaloExchangeModel(costs)
-        #: the arch-level Cluster behind the last DES-timed solve
-        self.last_des_cluster = None
+        #: the per-card devices of the last DES-timed solve, by device_id
+        self.last_des_cluster: Optional[Tuple[GrayskullDevice, ...]] = None
         cfg = config
         if cfg.cores_y * cfg.cores_x > costs.n_worker_cores:
             raise ClusterError(
@@ -341,19 +344,14 @@ class ClusterSolver:
                 remap_pairs) -> ClusterResult:
         cfg = self.config
         c = self.costs
-        wall = ledger.wall()
+        wall = ledger.wall
         busy = ledger.busy_tuple()
         stall = tuple(wall - b for b in busy)
         p_active = c.card_power_w(cfg.cores_y * cfg.cores_x)
         if des is not None:
-            busy_energy = des.busy_energy(ledger.coords)
-            # Mirror barrier stalls and host staging into the arch-level
-            # Cluster so its own wall/energy ledger shows the exchange too.
-            for coord in ledger.coords:
-                des.cluster.record_stall(des.card_index[coord],
-                                         ledger.bstall[coord])
-            des.cluster.record_host_stage(ledger.host_s)
-            self.last_des_cluster = des.cluster
+            busy_energy = tuple(des.devices[coord].energy.energy_j
+                                for coord in ledger.coords)
+            self.last_des_cluster = tuple(des.devices.values())
         else:
             busy_energy = tuple(b * p_active for b in busy)
         energy = 0.0
@@ -380,27 +378,20 @@ class _Ledger:
     def __init__(self, coords):
         self.coords = list(coords)
         self.busy = {c: 0.0 for c in coords}
-        #: barrier-only stalls (excludes host staging), for mirroring
-        #: into the arch-level Cluster ledger
-        self.bstall = {c: 0.0 for c in coords}
         self.host_s = 0.0
-        self._wall = 0.0
+        self.wall = 0.0
 
     def barrier(self, arrivals: Dict[Tuple[int, int], float]) -> None:
         """Advance the wall to the slowest card's arrival."""
         top = max(arrivals.values())
         for card, t in arrivals.items():
             self.busy[card] += t
-            self.bstall[card] += top - t
-        self._wall += top
+        self.wall += top
 
     def host_stage(self, dt: float) -> None:
         """Host-serialised staging: every card idles for ``dt``."""
         self.host_s += dt
-        self._wall += dt
-
-    def wall(self) -> float:
-        return self._wall
+        self.wall += dt
 
     def busy_tuple(self) -> Tuple[float, ...]:
         return tuple(self.busy[c] for c in self.coords)
@@ -441,19 +432,17 @@ class _DesBackend:
     Each physical card is a persistent :class:`GrayskullDevice` whose
     simulated clock accumulates across the per-iteration launches; block
     step times are clock deltas, so transfer and kernel time are both
-    on-card.  Stalls and host staging are mirrored into the
-    :class:`repro.arch.cluster.Cluster` ledger so its ``wall_time_s`` /
-    ``energy_j`` reflect the exchange barriers too.
+    on-card.  Barrier stalls and host staging are charged by the
+    solver's :class:`_Ledger`, never by the devices.
     """
 
     def __init__(self, solver: ClusterSolver, subs, problem: LaplaceProblem):
-        from repro.arch.cluster import Cluster
-
         self.solver = solver
         self.subs = subs
         self.problem = problem
-        self.cluster = Cluster(len(subs), costs=solver.costs)
-        self.card_index = {c: i for i, c in enumerate(sorted(subs))}
+        #: one persistent device per card, ``device_id`` in sorted order
+        self.devices = {c: GrayskullDevice(solver.costs, device_id=i)
+                        for i, c in enumerate(sorted(subs))}
         self._runners: Dict[Tuple[Tuple[int, int], Tuple[int, int]], object] = {}
 
     def _runner(self, card: Tuple[int, int], block: Tuple[int, int]):
@@ -467,16 +456,15 @@ class _DesBackend:
             sub_problem = LaplaceProblem(
                 nx=sub.nx, ny=sub.ny, left=p.left, right=p.right,
                 top=p.top, bottom=p.bottom, initial=p.initial)
-            device = self.cluster[self.card_index[card]]
             self._runners[key] = OptimizedJacobiRunner(
-                device, sub_problem, cores_y=cfg.cores_y,
+                self.devices[card], sub_problem, cores_y=cfg.cores_y,
                 cores_x=cfg.cores_x)
         return self._runners[key]
 
     def step_blocks(self, card: Tuple[int, int],
                     owned: List[Tuple[int, int]], blocks) -> float:
         """One launch per owned block; returns the card's clock delta."""
-        device = self.cluster[self.card_index[card]]
+        device = self.devices[card]
         before = device.sim.now
         for b in owned:
             # One launch per block per iteration on a persistent device:
@@ -485,7 +473,3 @@ class _DesBackend:
             res = self._runner(card, b).run(1, initial_grid=blocks[b])
             blocks[b] = res.grid_bits
         return device.sim.now - before
-
-    def busy_energy(self, coords) -> Tuple[float, ...]:
-        return tuple(self.cluster[self.card_index[c]].energy.energy_j
-                     for c in coords)

@@ -11,8 +11,9 @@
 * :mod:`repro.core.jacobi_optimized` — the Section-VI kernel generation
   (contiguous row reads, rotating 4-row buffer, ``cb_set_rd_ptr``
   zero-copy).
-* :mod:`repro.core.multicore` — functional multi-core / multi-card
-  execution (including the paper's missing inter-card halos).
+* :mod:`repro.core.multicore` — the paper's multi-card answer with its
+  missing inter-card halos (the multi-core answer is the global BF16
+  sweep, :func:`repro.cpu.jacobi.jacobi_solve_bf16`).
 * :mod:`repro.core.solver` — the :class:`JacobiSolver` facade.
 """
 

@@ -25,6 +25,7 @@ __all__ = [
     "TileBatches",
     "RowBatch",
     "RowBatches",
+    "chunk_columns",
     "split_extent",
     "split_domain",
     "SubDomain",
@@ -101,6 +102,12 @@ class RowBatch:
     width: int
 
 
+def chunk_columns(nx: int, chunk: int, x0: int = 0) -> List[tuple[int, int]]:
+    """``(start, width)`` of each chunk column of an ``nx``-wide run
+    starting at ``x0``: full ``chunk``-wide columns, then the remainder."""
+    return [(x0 + x, min(chunk, nx - x)) for x in range(0, nx, chunk)]
+
+
 class RowBatches:
     """Column-of-rows batching of a sub-domain (Fig. 6).
 
@@ -120,12 +127,7 @@ class RowBatches:
         self.x0 = x0
         self.y0 = y0
         self.chunk = chunk
-        self.columns: List[tuple[int, int]] = []
-        x = 0
-        while x < nx:
-            w = min(chunk, nx - x)
-            self.columns.append((x0 + x, w))
-            x += w
+        self.columns = chunk_columns(nx, chunk, x0)
 
     def __len__(self) -> int:
         return len(self.columns) * self.ny

@@ -24,13 +24,13 @@ Table-VI sweet spot).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.arch.device import GrayskullDevice
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1, TensixCore
-from repro.core.decomposition import SubDomain, split_domain
+from repro.core.decomposition import SubDomain, chunk_columns, split_domain
 from repro.core.grid import AlignedDomain, LaplaceProblem
 from repro.core.jacobi_initial import DeviceRunResult
 from repro.dtypes.bf16 import BF16_BYTES, f32_to_bits
@@ -78,16 +78,6 @@ class OptimizedConfig:
     accumulate_in_dst: bool = False  #: the paper's rejected FPU ablation
 
 
-def _chunk_columns(sub: SubDomain, chunk: int) -> List[tuple[int, int]]:
-    cols = []
-    x = 0
-    while x < sub.nx:
-        w = min(chunk, sub.nx - x)
-        cols.append((sub.x0 + x, w))
-        x += w
-    return cols
-
-
 # --------------------------------------------------------------------------
 # kernels (one triple per core; `sub` is the core's SubDomain)
 # --------------------------------------------------------------------------
@@ -109,7 +99,7 @@ def _reader_kernel(ctx):
     yield from ctx.l1_store_u16(ctx.cb_write_ptr(CB_SCALAR), quarter)
     yield from ctx.cb_push_back(CB_SCALAR, 1)
 
-    cols = _chunk_columns(sub, cfg.chunk)
+    cols = chunk_columns(sub.nx, cfg.chunk, sub.x0)
     max_w = max(w for _, w in cols)
     slack_max = align - 2
     slot_bytes = (max_w + 2) * BF16_BYTES + slack_max
@@ -170,7 +160,7 @@ def _compute_kernel(ctx):
     shared = ctx.arg("shared")
     dst0 = 0
 
-    cols = _chunk_columns(sub, cfg.chunk)
+    cols = chunk_columns(sub.nx, cfg.chunk, sub.x0)
     yield from ctx.cb_wait_front(CB_SCALAR, 1)
     yield from ctx.tile_regs_acquire()
     for _ in range(iterations):
@@ -281,7 +271,7 @@ def _writer_kernel(ctx):
     sub: SubDomain = ctx.arg("sub")
     barrier: Semaphore = ctx.arg("barrier")
 
-    cols = _chunk_columns(sub, cfg.chunk)
+    cols = chunk_columns(sub.nx, cfg.chunk, sub.x0)
     for _it in range(iterations):
         dst_buf = buffers[(_it + 1) % 2]
         for x0, w in cols:

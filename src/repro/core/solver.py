@@ -9,7 +9,7 @@ backend          functional answer                    timing / energy
 ``cpu``          NumPy FP32 sweep                     calibrated Xeon model
 ``e150``         discrete-event simulation (bytes     emergent from the DES
                  through DRAM/NoC/CB/FPU)
-``e150-model``   vectorised BF16 block execution      Tier-2 scaling model
+``e150-model``   bit-exact BF16 sweep                 Tier-2 scaling model
 =============== ==================================== =========================
 
 ``backend="auto"`` picks the DES for small core counts and the scaling
@@ -31,8 +31,8 @@ from repro.core.decomposition import remap_failed, split_domain
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_initial import InitialConfig, InitialJacobiRunner
 from repro.core.jacobi_optimized import OptimizedConfig, OptimizedJacobiRunner
-from repro.core.multicore import run_multicard_functional, run_multicore_functional
-from repro.cpu.jacobi import jacobi_step_bf16, residual_f32
+from repro.core.multicore import run_multicard_functional
+from repro.cpu.jacobi import jacobi_solve_bf16, jacobi_step_bf16, residual_f32
 from repro.cpu.openmp import CpuJacobiRunner
 from repro.dtypes.bf16 import bits_to_f32
 from repro.perfmodel.calibration import DEFAULT_COSTS, CostModel
@@ -201,7 +201,9 @@ class JacobiSolver:
             if self.n_cards > 1:
                 bits = run_multicard_functional(bits, iterations, self.n_cards)
             else:
-                bits = run_multicore_functional(bits, iterations, cy, cx)
+                # cores exchange halos through DRAM with a barrier per
+                # iteration: the decomposed sweep is the global sweep
+                bits = jacobi_solve_bf16(bits, iterations)
             grid = bits_to_f32(bits)
         return JacobiResult(
             grid_f32=grid, backend="e150-model", variant=self.variant,

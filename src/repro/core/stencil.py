@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.arch.device import GrayskullDevice
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1
-from repro.core.decomposition import SubDomain, split_domain
+from repro.core.decomposition import SubDomain, chunk_columns, split_domain
 from repro.core.grid import AlignedDomain, LaplaceProblem
 from repro.core.jacobi_initial import DeviceRunResult
 from repro.dtypes.bf16 import (
@@ -240,15 +240,6 @@ def stencil_solve_fp32(grid: np.ndarray, spec: StencilSpec,
 # device kernels (Section-VI dataflow, generated compute program)
 # --------------------------------------------------------------------------
 
-def _chunk_columns(sub: SubDomain, chunk: int) -> List[Tuple[int, int]]:
-    cols, x = [], 0
-    while x < sub.nx:
-        w = min(chunk, sub.nx - x)
-        cols.append((sub.x0 + x, w))
-        x += w
-    return cols
-
-
 def _reader_kernel(ctx):
     layout: AlignedDomain = ctx.arg("layout")
     spec: StencilSpec = ctx.arg("spec")
@@ -280,7 +271,7 @@ def _reader_kernel(ctx):
                 ctx.cb_write_ptr(CB_COEF_BASE + cb), vals)
         yield from ctx.cb_push_back(CB_COEF_BASE + cb, 1)
 
-    cols = _chunk_columns(sub, chunk)
+    cols = chunk_columns(sub.nx, chunk, sub.x0)
     max_w = max(w for _, w in cols)
     slot_bytes = ((max_w + 2) * eb + align - eb + 31) // 32 * 32
     slots = ctx.core.sram.allocate(N_SLOTS * slot_bytes, align=32)
@@ -355,7 +346,7 @@ def _compute_kernel(ctx):
     terms = spec.active_terms()
     dst0 = 0
 
-    cols = _chunk_columns(sub, chunk)
+    cols = chunk_columns(sub.nx, chunk, sub.x0)
     for cb, _n, _o, _r in terms:
         yield from ctx.cb_wait_front(CB_COEF_BASE + cb, 1)
     yield from ctx.tile_regs_acquire()
@@ -435,7 +426,7 @@ def _writer_kernel(ctx):
     barrier: Semaphore = ctx.arg("barrier")
     chunk: int = ctx.arg("chunk")
 
-    cols = _chunk_columns(sub, chunk)
+    cols = chunk_columns(sub.nx, chunk, sub.x0)
     for it in range(iterations):
         dst_buf = buffers[(it + 1) % 2]
         for x0, w in cols:

@@ -38,11 +38,12 @@ prefix-exact trace positions.
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.report import sha16
 
 __all__ = ["Witness", "WitnessStep", "ReplayResult", "replay_witness"]
 
@@ -94,7 +95,7 @@ class Witness:
         """Stable 16-hex-digit content digest of the canonical JSON."""
         text = json.dumps(self.to_json(), sort_keys=True,
                           separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return sha16(text)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,12 @@ always works.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.report import sha16
 
 __all__ = [
     "OpSpec",
@@ -42,11 +43,6 @@ __all__ = [
 
 class OpCheckError(AssertionError):
     """A device op's readback disagreed with its host reference."""
-
-
-def sha16(arr: np.ndarray) -> str:
-    """First 16 hex chars of the SHA-256 of an array's bytes."""
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
 @dataclass

@@ -30,12 +30,12 @@ fault-free baseline — checking bounded p99 inflation on top.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.parallel.jobs import JobKind, JobSpec, register_kind
+from repro.report import sha16
 
 __all__ = [
     "CHAOS_SCHEMA",
@@ -236,7 +236,7 @@ def summarize_chaos_run(report, intensity: float) -> dict:
     doc = report.to_json()
     return {
         "intensity": intensity,
-        "report_sha": hashlib.sha256(text.encode()).hexdigest()[:16],
+        "report_sha": sha16(text),
         "duration_s": report.duration_s,
         "submitted": len(report.outcomes),
         "completed": len(report.completed()),

@@ -1,10 +1,10 @@
-"""Device, cluster and energy-meter tests."""
+"""Device, multi-card cluster and energy-meter tests."""
 
 import pytest
 
-from repro.arch.cluster import Cluster
 from repro.arch.device import GrayskullDevice
 from repro.arch.energy import EnergyMeter
+from repro.cluster import ClusterConfig, ClusterSolver
 from repro.perfmodel.calibration import DEFAULT_COSTS
 from repro.sim import Simulator
 
@@ -62,33 +62,24 @@ class TestGeometry:
 
 
 class TestCluster:
+    """The per-card devices a DES-timed cluster solve runs on."""
+
+    @staticmethod
+    def _cards(cards_y):
+        solver = ClusterSolver(ClusterConfig(
+            nx=32, ny=16 * cards_y, iterations=1, cards_y=cards_y,
+            cards_x=1, cores_y=1, cores_x=1, timing="des"))
+        solver.solve()
+        return solver.last_des_cluster
+
     def test_cards_independent(self):
-        cluster = Cluster(2, dram_bank_capacity=1 << 20)
-        assert cluster.n_cards == 2
-        assert cluster[0].sim is not cluster[1].sim
-
-    def test_wall_time_is_max(self):
-        cluster = Cluster(2, dram_bank_capacity=1 << 20)
-        cluster[0].sim.run(until=1.0)
-        cluster[1].sim.run(until=3.0)
-        assert cluster.wall_time_s == pytest.approx(3.0)
-
-    def test_energy_includes_idle_tail(self):
-        cluster = Cluster(2, dram_bank_capacity=1 << 20)
-        cluster[0].sim.run(until=1.0)
-        cluster[1].sim.run(until=3.0)
-        e = cluster.energy_j
-        # card 0 idles 2 s at idle power on top of both cards' own energy
-        assert e >= 2.0 * DEFAULT_COSTS.card_power_idle_w
+        cards = self._cards(2)
+        assert len(cards) == 2
+        assert cards[0].sim is not cards[1].sim
 
     def test_map(self):
-        cluster = Cluster(3, dram_bank_capacity=1 << 20)
-        ids = cluster.map(lambda card: card.device_id)
-        assert ids == [0, 1, 2]
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError):
-            Cluster(0)
+        cards = self._cards(3)
+        assert [card.device_id for card in cards] == [0, 1, 2]
 
 
 class TestEnergyMeter:

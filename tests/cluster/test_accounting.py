@@ -1,21 +1,25 @@
 """Accounting regression: stalled cards draw idle power, exactly.
 
-Pins the identity the tentpole fix establishes:
+Pins the identities of the cluster solver's ledger:
 
     ``energy_j == Σ busy_energy_i + Σ stall_i · idle_w``   (exact)
     ``busy_i + stall_i == wall_time_s``  for every card    (exact)
 
-both on :class:`~repro.cluster.ClusterResult` and on the arch-level
-:class:`~repro.arch.cluster.Cluster` mirror (``record_stall`` /
-``record_host_stage``), so halo-exchange barriers can never silently
-vanish from the energy ledger again.
+so halo-exchange barriers can never silently vanish from the energy
+ledger, and, under DES timing, that the per-card devices supply exactly
+the busy time and busy energy the ledger reports.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.arch.cluster import Cluster
 from repro.cluster import ClusterConfig, ClusterSolver
+from repro.faults import CardFailure, FaultPlan
 from repro.perfmodel.calibration import DEFAULT_COSTS
+
+DES_2X1 = ClusterConfig(nx=64, ny=32, iterations=3, cards_y=2, cards_x=1,
+                        cores_y=2, cores_x=2, timing="des")
 
 
 def solve(**kw):
@@ -64,55 +68,39 @@ class TestResultIdentity:
         assert res.energy_j == busy_j + stall_j
 
 
-class TestArchClusterMirror:
-    def test_wall_includes_recorded_stalls_and_staging(self):
-        cluster = Cluster(2)
-        cluster[0].sim.run(until=2e-3)
-        cluster[1].sim.run(until=1e-3)
-        cluster.record_stall(1, 1e-3)       # card 1 waited at the barrier
-        cluster.record_host_stage(5e-4)
-        assert cluster.wall_time_s == pytest.approx(2.5e-3)
-        assert cluster.stall_s == [0.0, 1e-3]
-        assert cluster.host_stage_s == 5e-4
+class TestDesLedger:
+    """Under DES timing the per-card devices feed the ledger busy time
+    and busy energy only; the solver's ledger is the whole account."""
 
-    def test_energy_charges_idle_for_stalled_cards(self):
-        cluster = Cluster(2)
-        cluster[0].sim.run(until=2e-3)
-        cluster[1].sim.run(until=1e-3)
-        before = cluster.energy_j
-        cluster.record_host_stage(1e-3)     # both cards idle 1 ms longer
-        after = cluster.energy_j
-        extra = after - before
-        assert extra == pytest.approx(
-            2 * 1e-3 * DEFAULT_COSTS.card_power_idle_w)
+    def _check_devices(self, solver, res):
+        devices = solver.last_des_cluster
+        assert len(devices) == res.n_cards
+        assert [d.device_id for d in devices] == list(range(res.n_cards))
+        assert len({id(d.sim) for d in devices}) == res.n_cards
+        for i, dev in enumerate(devices):
+            assert res.busy_energy_j[i] == dev.energy.energy_j
+            assert res.busy_s[i] == pytest.approx(dev.sim.now, abs=1e-15)
 
-    def test_energy_identity_exact(self):
-        cluster = Cluster(3)
-        for i, card in enumerate(cluster):
-            card.sim.run(until=(i + 1) * 1e-4)
-        cluster.record_stall(0, 2e-4)
-        cluster.record_host_stage(1e-4)
-        wall = cluster.wall_time_s
-        expect = sum(card.energy.energy_j
-                     + (wall - card.sim.now)
-                     * DEFAULT_COSTS.card_power_idle_w
-                     for card in cluster)
-        assert cluster.energy_j == expect
-
-    def test_negative_charges_rejected(self):
-        cluster = Cluster(1)
-        with pytest.raises(ValueError):
-            cluster.record_stall(0, -1e-9)
-        with pytest.raises(ValueError):
-            cluster.record_host_stage(-1e-9)
-
-    def test_solver_mirror_matches_result(self):
-        """The DES solver's arch-Cluster ledger agrees with its result."""
-        cfg = ClusterConfig(nx=64, ny=32, iterations=3, cards_y=2,
-                            cards_x=1, cores_y=2, cores_x=2, timing="des")
-        solver = ClusterSolver(cfg)
+    def test_plain_run_feeds_ledger_from_devices(self):
+        solver = ClusterSolver(DES_2X1)
         res = solver.solve()
-        mirror = solver.last_des_cluster
-        assert mirror is not None
-        assert mirror.wall_time_s == pytest.approx(res.wall_time_s)
-        assert mirror.energy_j == pytest.approx(res.energy_j)
+        self._check_devices(solver, res)
+
+    def test_remap_run_feeds_ledger_from_devices(self):
+        cfg = replace(DES_2X1, iterations=4, checkpoint_every=2)
+        plan = FaultPlan(seed=0, card_failures=(CardFailure(3, 0, 0),))
+        solver = ClusterSolver(cfg)
+        res = solver.solve(plan=plan)
+        assert res.restarts == 1 and res.remap == (((0, 0), (1, 0)),)
+        self._check_devices(solver, res)
+        # the dead card's clock stopped at its failure; the survivor
+        # recomputed both blocks from the checkpoint
+        assert res.busy_s[0] < res.busy_s[1]
+
+    def test_des_figures_pinned(self):
+        """Exact DES ledger figures of the CI smoke configuration."""
+        res = ClusterSolver(DES_2X1).solve()
+        assert res.wall_time_s == 0.00010317775068103649
+        assert res.energy_j == 0.009887117049837364
+        assert res.stall_s == (2.6658e-05, 2.6658e-05)
+        assert res.host_stage_s == 2.6658e-05

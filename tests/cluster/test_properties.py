@@ -85,6 +85,12 @@ class TestDegenerateShapes:
         assert res.exchange.n_strips == 0
         assert res.exchange.bytes_moved == 0
 
+    def test_empty_card_grid_rejected(self):
+        for cards in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="card grid"):
+                ClusterConfig(nx=32, ny=32, iterations=1, cards_y=cards[0],
+                              cards_x=cards[1])
+
     def test_more_cards_than_rows_is_typed_error(self):
         with pytest.raises((ClusterError, ValueError)):
             ClusterSolver(ClusterConfig(nx=32, ny=4, iterations=1,

@@ -8,6 +8,7 @@ from repro.core.decomposition import (
     RowBatches,
     SubDomain,
     TileBatches,
+    chunk_columns,
     remap_failed,
     split_domain,
     split_extent,
@@ -83,6 +84,19 @@ class TestRowBatches:
 
     def test_render(self):
         assert "batch" in RowBatches(nx=2048, ny=4).render()
+
+    @given(nx=st.integers(1, 5000), chunk=st.integers(1, 2048),
+           x0=st.integers(0, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_columns_match_loop_reference(self, nx, chunk, x0):
+        """The kernels' column walk: full chunks, then the remainder."""
+        want, x = [], 0
+        while x < nx:
+            w = min(chunk, nx - x)
+            want.append((x0 + x, w))
+            x += w
+        assert chunk_columns(nx, chunk, x0) == want
+        assert RowBatches(nx=nx, ny=1, x0=x0, chunk=chunk).columns == want
 
 
 class TestSplits:

@@ -1,15 +1,15 @@
 """Multi-card DES integration: two cards, real kernels, combined answer.
 
 The Tier-2 model handles Table VIII's multi-card rows; this test drives
-the *actual kernels* on a two-card :class:`Cluster` (each card a full
-DES) and checks the stitched result equals the functional multi-card
+the *actual kernels* on two cards (each a full :class:`GrayskullDevice`
+DES with its own clock) and checks the stitched result equals the functional multi-card
 reference — stale inter-card halos and all.
 """
 
 import numpy as np
 import pytest
 
-from repro.arch.cluster import Cluster
+from repro.arch.device import GrayskullDevice
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_optimized import OptimizedJacobiRunner
 from repro.core.multicore import run_multicard_functional
@@ -23,11 +23,12 @@ def _run_two_card_jacobi(problem: LaplaceProblem, iterations: int):
     paper's multi-card setup — using ``initial_grid`` to hand the card
     its slice of the global state.
     """
-    cluster = Cluster(2, dram_bank_capacity=1 << 20)
+    cards = [GrayskullDevice(dram_bank_capacity=1 << 20, device_id=i)
+             for i in range(2)]
     half = problem.ny // 2
     grid = problem.initial_grid_bf16()
     outputs = []
-    for i, card in enumerate(cluster):
+    for i, card in enumerate(cards):
         block = grid[i * half:(i + 1) * half + 2, :]
         sub = LaplaceProblem(nx=problem.nx, ny=half)
         res = OptimizedJacobiRunner(card, sub).run(
@@ -36,14 +37,14 @@ def _run_two_card_jacobi(problem: LaplaceProblem, iterations: int):
     stitched = grid.copy()
     for i, out in enumerate(outputs):
         stitched[i * half + 1:(i + 1) * half + 1, 1:-1] = out[1:-1, 1:-1]
-    return cluster, stitched
+    return cards, stitched
 
 
 class TestTwoCardDes:
     def test_matches_functional_multicard_reference(self):
         problem = LaplaceProblem(nx=32, ny=16, top=1.0)
         iterations = 6
-        cluster, stitched = _run_two_card_jacobi(problem, iterations)
+        _, stitched = _run_two_card_jacobi(problem, iterations)
         want = run_multicard_functional(problem.initial_grid_bf16(),
                                         iterations, 2)
         assert np.array_equal(stitched, want)
@@ -58,10 +59,10 @@ class TestTwoCardDes:
 
     def test_cluster_accounting(self):
         problem = LaplaceProblem(nx=32, ny=16)
-        cluster, _ = _run_two_card_jacobi(problem, 4)
-        assert cluster.wall_time_s > 0
-        assert cluster.energy_j > 0
-        assert all(card.sim.now > 0 for card in cluster)
+        cards, _ = _run_two_card_jacobi(problem, 4)
+        assert cards[0].sim is not cards[1].sim
+        assert all(card.sim.now > 0 for card in cards)
+        assert all(card.energy.energy_j > 0 for card in cards)
 
 
 class TestInitialGridApi:
