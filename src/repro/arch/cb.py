@@ -30,12 +30,38 @@ import numpy as np
 
 from repro.arch.sram import Sram
 from repro.sim import Event, SimulationError, Simulator
+from repro.sim.engine import _PENDING
 
 __all__ = ["CircularBuffer", "CBError"]
 
 
 class CBError(RuntimeError):
     """Protocol violation on a circular buffer (over-push, over-pop, ...)."""
+
+
+class _Handshake(Event):
+    """A blocked ``reserve``/``wait`` on one CB.
+
+    Every blocking handshake builds one, so the display name
+    (``<cb>.wait(<n>)``) is formatted only when a deadlock or watchdog
+    report reads it.
+    """
+
+    __slots__ = ("_cb", "_op", "_n")
+
+    def __init__(self, cb: "CircularBuffer", op: str, n: int):
+        self.sim = cb.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._scheduled = False
+        self._cb = cb
+        self._op = op
+        self._n = n
+
+    @property
+    def name(self) -> str:
+        return f"{self._cb.name}.{self._op}({self._n})"
 
 
 class CircularBuffer:
@@ -65,6 +91,11 @@ class CircularBuffer:
         self.name = name or f"cb{cb_id}"
         self.base = sram.allocate(page_size * n_pages, align=32,
                                   label=self.name)
+        # The CB's own pages lie inside its allocation, so their 16-bit
+        # views slice ``sram.words`` directly; aliases go through the
+        # bounds-checked ``Sram.view_u16``.
+        self._base_word = self.base >> 1
+        self._page_len16 = page_size // 2
 
         # Queue state: absolute page counters (never wrap; modulo for slots).
         self._reserved = 0   # pages handed to the producer (reserve_back)
@@ -105,12 +136,15 @@ class CircularBuffer:
     # preserved because the fast path refuses whenever earlier requests are
     # still queued (the caller then lines up behind them via the event
     # path), and a wedged CB always refuses so injected flow-control faults
-    # still hang producers and consumers exactly as before.
+    # still hang producers and consumers exactly as before.  These run on
+    # every handshake, so they read the page counters directly rather
+    # than through the properties above.
     def try_reserve(self, n: int = 1) -> bool:
         """Reserve ``n`` pages immediately if possible; never blocks."""
         if not 0 < n <= self.n_pages:
             raise CBError(f"{self.name}: cannot reserve {n} of {self.n_pages} pages")
-        if self.wedged or self._reserve_q or self.pages_free < n:
+        if self.wedged or self._reserve_q \
+                or self.n_pages - self._reserved + self._popped < n:
             return False
         self._reserved += n
         return True
@@ -120,14 +154,14 @@ class CircularBuffer:
         if not 0 < n <= self.n_pages:
             raise CBError(f"{self.name}: cannot wait for {n} of {self.n_pages} pages")
         return not self.wedged and not self._wait_q \
-            and self.pages_committed >= n
+            and self._pushed - self._popped >= n
 
     # -- producer side -------------------------------------------------------
     def reserve_back(self, n: int = 1) -> Event:
         """Block until ``n`` pages are free, then reserve them."""
         if not 0 < n <= self.n_pages:
             raise CBError(f"{self.name}: cannot reserve {n} of {self.n_pages} pages")
-        ev = self.sim.event(name=f"{self.name}.reserve({n})")
+        ev = _Handshake(self, "reserve", n)
         self._reserve_q.append((n, ev))
         self._drain()
         return ev
@@ -141,7 +175,8 @@ class CircularBuffer:
                 f"{self.name}: push_back({n}) without matching reserve_back "
                 f"(pushed={self._pushed}, reserved={self._reserved})")
         self._pushed += n
-        self._drain()
+        if self._wait_q or self._reserve_q:
+            self._drain()
 
     def get_write_ptr(self) -> int:
         """L1 address of the next page to fill (after reserve_back)."""
@@ -181,12 +216,14 @@ class CircularBuffer:
         instead (no reservation needed — the pages are not used).
         """
         if self._wr_alias is not None:
-            addr = self._wr_alias + page_offset * self.page_size
-            return self.sram.view_u16(addr, self.page_size // 2)
-        if self._pushed + page_offset >= self._reserved:
+            return self.sram.view_u16(
+                self._wr_alias + page_offset * self.page_size,
+                self.page_size // 2)
+        page = self._pushed + page_offset
+        if page >= self._reserved:
             raise CBError(f"{self.name}: back page {page_offset} not reserved")
-        addr = self._slot_addr(self._pushed + page_offset)
-        return self.sram.view_u16(addr, self.page_size // 2)
+        word = self._base_word + page % self.n_pages * self._page_len16
+        return self.sram.words[word:word + self._page_len16]
 
     def set_wr_ptr(self, l1_addr: int) -> None:
         """Alias the producer write pointer to ``l1_addr`` (extension).
@@ -210,7 +247,7 @@ class CircularBuffer:
         """Block until ``n`` pages are committed (does not consume them)."""
         if not 0 < n <= self.n_pages:
             raise CBError(f"{self.name}: cannot wait for {n} of {self.n_pages} pages")
-        ev = self.sim.event(name=f"{self.name}.wait({n})")
+        ev = _Handshake(self, "wait", n)
         self._wait_q.append((n, ev))
         self._drain()
         return ev
@@ -225,27 +262,30 @@ class CircularBuffer:
                 f"({self.pages_committed})")
         self._popped += n
         self._rd_alias = None  # an alias is valid for one wait/pop window
-        self._drain()
+        if self._wait_q or self._reserve_q:
+            self._drain()
 
     def get_read_ptr(self) -> int:
         """L1 address the unpacker will read from (honours set_rd_ptr)."""
         if self._rd_alias is not None:
             return self._rd_alias
-        if self.pages_committed == 0:
+        if self._pushed == self._popped:
             raise CBError(f"{self.name}: get_read_ptr with no committed pages")
         return self._slot_addr(self._popped)
 
     def front_view_u16(self, page_offset: int = 0) -> np.ndarray:
         """16-bit view of committed page ``page_offset`` (or the alias)."""
         if self._rd_alias is not None:
-            addr = self._rd_alias + page_offset * self.page_size
-            return self.sram.view_u16(addr, self.page_size // 2)
-        if page_offset >= self.pages_committed:
+            return self.sram.view_u16(
+                self._rd_alias + page_offset * self.page_size,
+                self.page_size // 2)
+        if page_offset >= self._pushed - self._popped:
             raise CBError(
                 f"{self.name}: front page {page_offset} beyond committed "
                 f"{self.pages_committed}")
-        addr = self._slot_addr(self._popped + page_offset)
-        return self.sram.view_u16(addr, self.page_size // 2)
+        word = self._base_word + ((self._popped + page_offset) % self.n_pages
+                                  * self._page_len16)
+        return self.sram.words[word:word + self._page_len16]
 
     def set_rd_ptr(self, l1_addr: int) -> None:
         """``cb_set_rd_ptr``: alias the consumer read pointer to ``l1_addr``.
@@ -280,14 +320,14 @@ class CircularBuffer:
             progressed = False
             if self._reserve_q:
                 n, ev = self._reserve_q[0]
-                if self.pages_free >= n:
+                if self.n_pages - self._reserved + self._popped >= n:
                     self._reserved += n
                     self._reserve_q.popleft()
                     ev.succeed()
                     progressed = True
             if self._wait_q:
                 n, ev = self._wait_q[0]
-                if self.pages_committed >= n:
+                if self._pushed - self._popped >= n:
                     self._wait_q.popleft()
                     ev.succeed()
                     progressed = True

@@ -18,12 +18,13 @@ contract that each CB-to-CB pass costs exactly one rounding.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.arch.cb import CircularBuffer
-from repro.dtypes.bf16 import bits_to_f32, f32_to_bits
+from repro.dtypes.bf16 import f32_to_bits
 from repro.dtypes.tiles import TILE_ELEMS
 
 __all__ = ["Fpu", "FpuError", "N_DST_REGISTERS"]
@@ -31,6 +32,13 @@ __all__ = ["Fpu", "FpuError", "N_DST_REGISTERS"]
 #: Destination register file: 16 tile registers (half-sync mode exposes 8,
 #: but the paper's kernels only ever use dst0).
 N_DST_REGISTERS = 16
+
+
+def _latch(n: int) -> tuple:
+    """An operand latch of ``n`` lanes: little-endian words whose low
+    halves stay zero, as (high-half ``uint16`` view, ``float32`` view)."""
+    words = np.zeros(n, dtype="<u4")
+    return words.view("<u2")[1::2], words.view("<f4")
 
 
 class FpuError(RuntimeError):
@@ -45,6 +53,9 @@ class Fpu:
         self._acquired = False
         self.ops = 0          #: tile operations executed (for reports)
         self.packs = 0
+        # The two operand latches BF16 pages unpack into (see _unpack),
+        # grown to the widest page seen.
+        self._operands = [_latch(0), _latch(0)]
 
     # -- register file management (tile_regs_acquire / release) -----------
     def acquire_dst(self) -> None:
@@ -74,14 +85,22 @@ class Fpu:
         return self._dst[idx].copy()
 
     # -- unpack helpers ------------------------------------------------------
-    @staticmethod
-    def _unpack(cb: CircularBuffer, tile_index: int) -> np.ndarray:
+    def _unpack(self, cb: CircularBuffer, tile_index: int,
+                operand: int = 0) -> np.ndarray:
         """CB page → float32 tile (the unpacker honours ``set_rd_ptr``).
 
         Pages up to one tile (2048 B: 1024 BF16 or 512 FP32 elements — the
         same 16384-bit FPU width) are accepted: a ragged chunk still
         occupies a full FPU pass but carries fewer elements.  FP32 pages
-        (the Wormhole-precision mode) unpack losslessly.
+        (the Wormhole-precision mode) unpack losslessly into a fresh
+        array.
+
+        BF16 is the high half of a float32, so a BF16 page widens with
+        one copy into the high halves of operand latch ``operand`` (0 or
+        1).  The result is a view of the latch, valid until the latch is
+        next used: every op computes a fresh array from it, and
+        ``copy_tile``, which keeps the tile itself, copies it, so no
+        register aliases a latch or L1.
         """
         if cb.page_size % 2 or cb.page_size > TILE_ELEMS * 2:
             raise FpuError(
@@ -89,37 +108,43 @@ class Fpu:
                 f"{TILE_ELEMS * 2} B, got {cb.page_size}")
         if cb.dtype == "fp32":
             return cb.front_view_bits(tile_index).copy().view(np.float32)
-        # bits_to_f32 widens into a fresh array, so no register aliases L1
-        return bits_to_f32(cb.front_view_u16(tile_index))
+        page = cb.front_view_u16(tile_index)
+        high, f32 = self._operands[operand]
+        n = page.size
+        if f32.size < n:
+            high, f32 = self._operands[operand] = _latch(n)
+        high[:n] = page
+        return f32[:n]
 
     def _binary(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                 ia: int, ib: int, dst: int, op: Callable) -> None:
-        self._check_dst(dst)
-        a = self._unpack(cb_a, ia)
-        b = self._unpack(cb_b, ib)
-        self._dst[dst] = op(a, b)      # float32 op float32: a fresh array
+        if not self._acquired or not 0 <= dst < N_DST_REGISTERS:
+            self._check_dst(dst)
+        # float32 op float32: a fresh array
+        self._dst[dst] = op(self._unpack(cb_a, ia),
+                            self._unpack(cb_b, ib, 1))
         self.ops += 1
 
     # -- tt-metal compute API surface -----------------------------------------
     def add_tiles(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                   ia: int, ib: int, dst: int) -> None:
         """``add_tiles``: dst = cb_a[ia] + cb_b[ib] (elementwise)."""
-        self._binary(cb_a, cb_b, ia, ib, dst, np.add)
+        self._binary(cb_a, cb_b, ia, ib, dst, operator.add)
 
     def sub_tiles(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                   ia: int, ib: int, dst: int) -> None:
         """``sub_tiles``: dst = cb_a[ia] − cb_b[ib]."""
-        self._binary(cb_a, cb_b, ia, ib, dst, np.subtract)
+        self._binary(cb_a, cb_b, ia, ib, dst, operator.sub)
 
     def mul_tiles(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                   ia: int, ib: int, dst: int) -> None:
         """``mul_tiles``: dst = cb_a[ia] × cb_b[ib]."""
-        self._binary(cb_a, cb_b, ia, ib, dst, np.multiply)
+        self._binary(cb_a, cb_b, ia, ib, dst, operator.mul)
 
     def copy_tile(self, cb: CircularBuffer, idx: int, dst: int) -> None:
         """``copy_tile``: unpack one CB tile into a register unchanged."""
         self._check_dst(dst)
-        self._dst[dst] = self._unpack(cb, idx)
+        self._dst[dst] = self._unpack(cb, idx).copy()
         self.ops += 1
 
     def add_tiles_to_dst(self, cb: CircularBuffer, idx: int, dst: int) -> None:
@@ -197,8 +222,9 @@ class Fpu:
         return float(val)
 
     # -- 2-D tile ops ---------------------------------------------------------
-    def _unpack_2d(self, cb: CircularBuffer, idx: int) -> np.ndarray:
-        data = self._unpack(cb, idx)
+    def _unpack_2d(self, cb: CircularBuffer, idx: int,
+                   operand: int = 0) -> np.ndarray:
+        data = self._unpack(cb, idx, operand)
         if data.size != TILE_ELEMS:
             raise FpuError(
                 f"{cb.name}: 2-D tile ops need full {TILE_ELEMS}-element "
@@ -214,7 +240,7 @@ class Fpu:
         chains partial products across the K dimension.
         """
         self._check_dst(dst)
-        prod = (self._unpack_2d(cb_a, ia) @ self._unpack_2d(cb_b, ib)
+        prod = (self._unpack_2d(cb_a, ia) @ self._unpack_2d(cb_b, ib, 1)
                 ).astype(np.float32)
         if accumulate:
             if self._dst[dst] is None:
@@ -232,20 +258,27 @@ class Fpu:
 
     def pack_tile(self, dst: int, cb_out: CircularBuffer,
                   page_offset: int = 0) -> None:
-        """``pack_tile``: round a register to BF16 into a reserved CB page."""
-        self._check_dst(dst)
-        if self._dst[dst] is None:
+        """``pack_tile``: round a register to BF16 into a reserved CB page.
+
+        BF16 pages receive the rounded bits in place (``f32_to_bits`` with
+        ``out=``); FP32 pages take the register's words unchanged.
+        """
+        if not self._acquired or not 0 <= dst < N_DST_REGISTERS:
+            self._check_dst(dst)
+        reg = self._dst[dst]
+        if reg is None:
             raise FpuError(f"pack of empty dst register {dst}")
         if cb_out.dtype == "fp32":
             out = cb_out.back_view_bits(page_offset)
-            bits = np.ascontiguousarray(
-                self._dst[dst], dtype=np.float32).ravel().view(np.uint32)
         else:
             out = cb_out.back_view_u16(page_offset)
-            bits = f32_to_bits(self._dst[dst]).ravel()
-        if out.size != bits.size:
+        if out.size != reg.size:
             raise FpuError(
                 f"{cb_out.name}: pack size mismatch — register holds "
-                f"{bits.size} elements, page holds {out.size}")
-        out[:] = bits
+                f"{reg.size} elements, page holds {out.size}")
+        if cb_out.dtype == "fp32":
+            out[:] = np.ascontiguousarray(
+                reg, dtype=np.float32).ravel().view(np.uint32)
+        else:
+            f32_to_bits(reg, out=out)
         self.packs += 1

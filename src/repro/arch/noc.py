@@ -21,8 +21,8 @@ writes land immediately, subject to the alignment rules in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class NocTransferStats:
     write_bytes: int = 0
 
 
-@dataclass(frozen=True)
-class ReadJob:
+class ReadJob(NamedTuple):
     """One DRAM→SRAM read: functional destination + addressing."""
 
     bank_id: int
@@ -53,8 +52,7 @@ class ReadJob:
     size: int
 
 
-@dataclass(frozen=True)
-class WriteJob:
+class WriteJob(NamedTuple):
     """One SRAM→DRAM write with its payload."""
 
     bank_id: int
@@ -164,29 +162,39 @@ class Noc:
         coalescing, Table V/VI); ``interleaved`` raises the effective link
         rate because consecutive pages stream from different banks.
         """
-        if not jobs:
+        n_jobs = len(jobs)
+        if not n_jobs:
             ev = self.sim.event(name="noc.read.empty")
             ev.succeed()
             return ev
-        total = 0
-        per_bank: dict[int, int] = {}
-        align = self.costs.dram_alignment
-        for bank_id, addr, size, run in _coalesce_reads(jobs, align):
-            data = self.dram.bank(bank_id).read(addr, size,
-                                                requests=len(run))
+        if n_jobs == 1:
+            # One job is one run of itself: nothing to coalesce.
+            bank_id, addr, total = jobs[0]
+            data = self.dram.banks[bank_id].read(addr, total)
             if out is not None:
-                if len(run) == 1:
-                    out.append(data)
-                else:
-                    # Split the merged snapshot back into per-job views so
-                    # callers see the exact chunks they asked for.
-                    off = 0
-                    for job in run:
-                        out.append(data[off:off + job.size])
-                        off += job.size
-            total += size
-            per_bank[bank_id] = per_bank.get(bank_id, 0) + size
-        self.stats.read_requests += len(jobs)
+                out.append(data)
+            per_bank = {bank_id: total}
+        else:
+            total = 0
+            per_bank = {}
+            align = self.costs.dram_alignment
+            for bank_id, addr, size, run in _coalesce_reads(jobs, align):
+                data = self.dram.bank(bank_id).read(addr, size,
+                                                    requests=len(run))
+                if out is not None:
+                    if len(run) == 1:
+                        out.append(data)
+                    else:
+                        # Split the merged snapshot back into per-job
+                        # views so callers see the exact chunks they
+                        # asked for.
+                        off = 0
+                        for job in run:
+                            out.append(data[off:off + job.size])
+                            off += job.size
+                total += size
+                per_bank[bank_id] = per_bank.get(bank_id, 0) + size
+        self.stats.read_requests += n_jobs
         self.stats.read_bytes += total
 
         link_bytes = total
@@ -233,26 +241,34 @@ class Noc:
     def write_burst(self, link: FifoServer, jobs: Sequence[WriteJob], *,
                     interleaved: bool = False) -> Event:
         """Issue a burst of DRAM writes; returns one completion event."""
-        if not jobs:
+        n_jobs = len(jobs)
+        if not n_jobs:
             ev = self.sim.event(name="noc.write.empty")
             ev.succeed()
             return ev
-        total = 0
-        per_bank: dict[int, int] = {}
-        align = self.costs.dram_alignment
-        for bank_id, addr, sizes, run in _coalesce_writes(jobs, align):
-            if len(run) == 1:
-                self.dram.bank(bank_id).write(addr, run[0].data)
-            else:
-                merged = np.concatenate(
-                    [np.asarray(j.data, dtype=np.uint8).ravel()
-                     for j in run])
-                self.dram.bank(bank_id).write(addr, merged,
-                                              requests=len(run))
-            n = sum(sizes)
-            total += n
-            per_bank[bank_id] = per_bank.get(bank_id, 0) + n
-        self.stats.write_requests += len(jobs)
+        if n_jobs == 1:
+            # One job is one run of itself: nothing to coalesce.
+            bank_id, addr, data = jobs[0]
+            total = int(np.asarray(data).size)
+            self.dram.banks[bank_id].write(addr, data)
+            per_bank = {bank_id: total}
+        else:
+            total = 0
+            per_bank = {}
+            align = self.costs.dram_alignment
+            for bank_id, addr, sizes, run in _coalesce_writes(jobs, align):
+                if len(run) == 1:
+                    self.dram.bank(bank_id).write(addr, run[0].data)
+                else:
+                    merged = np.concatenate(
+                        [np.asarray(j.data, dtype=np.uint8).ravel()
+                         for j in run])
+                    self.dram.bank(bank_id).write(addr, merged,
+                                                  requests=len(run))
+                n = sum(sizes)
+                total += n
+                per_bank[bank_id] = per_bank.get(bank_id, 0) + n
+        self.stats.write_requests += n_jobs
         self.stats.write_bytes += total
 
         done_events = [link.submit(total)]
@@ -283,7 +299,7 @@ class Noc:
         """Occupy a bank port, charging a turnaround stall on a read↔write
         direction flip (the DRAM-controller cost that makes interleaving
         reads with synchronous writes expensive on the same bank)."""
-        bank = self.dram.bank(bank_id)
+        bank = self.dram.banks[bank_id]
         extra = self.costs.dram_turnaround if (
             bank.last_dir and bank.last_dir != direction) else 0.0
         bank.last_dir = direction
@@ -320,32 +336,27 @@ class Noc:
             hook(kind, extra, self.sim.now)
         return extra
 
-    def _completion(self, done_events: Iterable[Event],
+    def _completion(self, done_events: List[Event],
                     latency: float) -> Event:
         """Completion = all bookings drained + exposed latency.
 
-        Booking events (FifoServer completions) cannot fail, so instead of
-        an :class:`~repro.sim.AllOf` gate — an extra heap entry plus a
-        composite event per transfer — a counting callback fires the
-        completion directly from the last booking's own callback list.
+        Bookings are :class:`~repro.sim.resources.FifoServer` timeouts,
+        submitted just now in list order, so the event loop pops them in
+        order of ``(now + delay, position)``.  Instead of an
+        :class:`~repro.sim.AllOf` gate — an extra heap entry plus a
+        composite event per transfer — or a countdown on every booking,
+        the completion fires from the callback list of the last one to
+        pop: the instant all of them have drained.
         """
-        events = list(done_events)
         ev = Event(self.sim, self._done_name)
-        total_latency = latency + self._consume_fault(latency)
-
-        if len(events) == 1:
-            events[0].add_callback(
-                lambda _e: ev.succeed(delay=total_latency))
-            return ev
-
-        remaining = len(events)
-
-        def _arm(_e):
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                ev.succeed(delay=total_latency)
-
-        for booking in events:
-            booking.add_callback(_arm)
+        total_latency = latency + self._consume_fault(latency) \
+            if self._pending_faults else latency
+        now = self.sim.now
+        last = done_events[0]
+        last_at = now + last.delay
+        for booking in done_events[1:]:
+            at = now + booking.delay
+            if at >= last_at:
+                last, last_at = booking, at
+        last.callbacks.append(lambda _e: ev.succeed(delay=total_latency))
         return ev

@@ -30,6 +30,9 @@ class Sram:
             raise ValueError("SRAM capacity below the reserved region")
         self.capacity = capacity
         self.mem = np.zeros(capacity, dtype=np.uint8)
+        #: the same bytes as little-endian 16-bit words (BF16 payloads):
+        #: word ``i`` is bytes ``2i, 2i+1``, so a page view is one slice
+        self.words = self.mem[:capacity - capacity % 2].view("<u2")
         self._brk = self.RESERVED
         #: every allocation as (base, size, label) — consumed by
         #: ``repro.lint``'s L1-overlap rule (P204)
@@ -81,7 +84,12 @@ class Sram:
         """A view of ``count`` little-endian 16-bit words (BF16 payloads)."""
         if addr % 2:
             raise ValueError("16-bit view requires 2-byte alignment")
-        return self.view(addr, count * 2).view("<u2")
+        if addr < 0 or addr + count * 2 > self.capacity:
+            raise IndexError(
+                f"L1 access [{addr}, {addr + count * 2}) outside "
+                f"{self.capacity}")
+        word = addr >> 1
+        return self.words[word:word + count]
 
     def view_u32(self, addr: int, count: int) -> np.ndarray:
         """A view of ``count`` little-endian 32-bit words."""

@@ -204,7 +204,7 @@ def _compute_kernel(ctx):
                     # to the scale pass re-programs unpacker and math
                     # threads — ~6 op-times of dead pipeline, which is what
                     # made this variant a net loss on silicon.
-                    yield from ctx._elapse(6 * ctx.costs.fpu_op)
+                    yield from ctx._charge(6 * ctx.costs.fpu_op)
                     ctx.fpu._dst[dst0] = (
                         ctx.fpu._dst[dst0] * np.float32(0.25)).astype(np.float32)
                     # The pops wake the reader: they must leave the

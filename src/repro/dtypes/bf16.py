@@ -44,12 +44,14 @@ __all__ = [
 #: Storage size of one BF16 element in DRAM/SRAM.
 BF16_BYTES = 2
 
-_SHIFT16 = np.uint32(16)
-_ONE = np.uint32(1)
-_RNE_BIAS = np.uint32(0x7FFF)
-_SIGN32 = np.uint32(0x8000_0000)
-_QUIET_NAN32 = np.uint32(0x7FC0_0000)
-_HIGH16 = np.uint32(0xFFFF_0000)
+# 0-d arrays rather than NumPy scalars: a ufunc takes an array operand
+# with less per-call overhead, which matters on tile-sized inputs.
+_SHIFT16 = np.array(16, dtype=np.uint32)
+_ONE = np.array(1, dtype=np.uint32)
+_RNE_BIAS = np.array(0x7FFF, dtype=np.uint32)
+_SIGN32 = np.array(0x8000_0000, dtype=np.uint32)
+_QUIET_NAN32 = np.array(0x7FC0_0000, dtype=np.uint32)
+_HIGH16 = np.array(0xFFFF_0000, dtype=np.uint32)
 
 
 def _rne_words(f32: np.ndarray) -> np.ndarray:
@@ -68,23 +70,37 @@ def _rne_words(f32: np.ndarray) -> np.ndarray:
     # NaN inputs: the bias may carry into the exponent; force a quiet NaN
     # with the sign preserved instead.
     is_nan = np.isnan(f32)
-    if is_nan.any():
+    if np.count_nonzero(is_nan):
         words = np.where(is_nan, (u32 & _SIGN32) | _QUIET_NAN32, words)
     return words
 
 
-def f32_to_bits(x: np.ndarray | float) -> np.ndarray:
+def f32_to_bits(x: np.ndarray | float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Convert float32 values to BF16 bit patterns (``uint16``).
 
     Rounds to nearest, ties to even, exactly as hardware truncation with a
     rounding bias does.  Input is converted to ``float32`` first (so Python
     floats and float64 arrays are accepted); output has the same shape and
     is C-contiguous.
+
+    ``out``, a ``uint16`` array of the same size, receives the bits in
+    its own shape and is returned — how ``pack_tile`` writes straight
+    into a CB page without an intermediate array.
     """
     arr = np.asarray(x, dtype=np.float32)
     # ascontiguousarray lifts a 0-d input to shape (1,), so the ufuncs
     # in _rne_words return arrays rather than NumPy scalars
     words = _rne_words(np.ascontiguousarray(arr))
+    if out is not None:
+        if out.size != words.size or out.dtype != np.uint16:
+            raise ValueError(
+                f"out must be uint16 with {words.size} elements, got "
+                f"{out.dtype} with {out.size}")
+        words >>= _SHIFT16
+        out[...] = words if words.shape == out.shape \
+            else words.reshape(out.shape)
+        return out
     words >>= _SHIFT16
     bits = words.astype(np.uint16)
     return bits if arr.ndim else bits.reshape(())

@@ -112,10 +112,10 @@ class Event:
         """Trigger the event successfully, scheduling callbacks ``delay`` from now."""
         if self._value is not _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
-        if delay != 0.0:
-            # The comparison is the fast path for the overwhelmingly common
-            # immediate trigger; odd inputs (None, "x", negatives) compare
-            # unequal and still land in the full validator.
+        if delay.__class__ is not float or delay < 0.0:
+            # A non-negative float (the default 0.0 included) is already
+            # valid; odd inputs (None, "x", ints, negatives) land in the
+            # full validator.
             delay = _check_delay(delay)
         self._value = value
         self._ok = True
@@ -164,16 +164,23 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+                 at: Optional[float] = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
         self.sim = sim
         self.callbacks = []
         self._value = value
         self._ok = True
-        self._scheduled = False
+        self._scheduled = True
         self.delay = delay
-        sim._schedule(self, delay)
+        # Push the heap entry here rather than through ``_schedule``: the
+        # event is new, so the scheduled-twice check cannot fire.  ``at``
+        # (see ``Simulator.timeout_at``) is the exact firing instant when
+        # ``now + delay`` would round differently.
+        sim._seq += 1
+        heapq.heappush(sim._queue, (sim.now + delay if at is None else at,
+                                    sim._seq, self))
 
     @property
     def name(self) -> str:  # lazy: only deadlock reports / repr need it
@@ -187,7 +194,8 @@ class Process(Event):
     can be joined with ``result = yield some_process``.
     """
 
-    __slots__ = ("generator", "_send", "_throw", "_waiting_on", "_wait_since")
+    __slots__ = ("generator", "_send", "_throw", "_resume_cb", "_waiting_on",
+                 "_wait_since")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -200,6 +208,7 @@ class Process(Event):
         # kernel, so the attribute lookups are worth hoisting.
         self._send = generator.send
         self._throw = generator.throw
+        self._resume_cb = self._resume
         self._waiting_on: Optional[Event] = None
         self._wait_since: float = sim.now
         sim._register_process(self)
@@ -207,7 +216,7 @@ class Process(Event):
         boot = Event(sim, name=f"boot:{self.name}")
         boot._value = None
         boot._ok = True
-        boot.callbacks.append(self._resume)
+        boot.callbacks.append(self._resume_cb)
         sim._schedule(boot, 0.0)
 
     @property
@@ -221,7 +230,7 @@ class Process(Event):
         poke = Event(self.sim, name=f"interrupt:{self.name}")
         poke._value = Interrupt(cause)
         poke._ok = False
-        poke.callbacks.append(self._resume)
+        poke.callbacks.append(self._resume_cb)
         self.sim._schedule(poke, 0.0)
 
     # -- stepping ---------------------------------------------------------
@@ -247,15 +256,25 @@ class Process(Event):
                 # Nobody is joining this process: surface the crash.
                 self.sim._crashed.append((self, exc))
             return
-        if not isinstance(target, Event):
+        if target.__class__ is not Timeout and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
                 "yield Event instances (Timeout, Semaphore.acquire(), ...)")
-        if target.sim is not self.sim:
+        sim = self.sim
+        if target.sim is not sim:
             raise SimulationError("yielded event belongs to a different simulator")
         self._waiting_on = target
-        self._wait_since = self.sim.now
-        target.add_callback(self._resume)
+        self._wait_since = sim.now
+        # A pending target takes the cached bound method straight onto its
+        # callback list (usually empty: a fresh timeout); a processed one
+        # goes through ``add_callback``'s zero-delay bridge.
+        callbacks = target.callbacks
+        if callbacks:
+            callbacks.append(self._resume_cb)
+        elif callbacks is None:
+            target.add_callback(self._resume_cb)
+        else:
+            target.callbacks = [self._resume_cb]
 
 
 class _Condition(Event):
@@ -382,16 +401,7 @@ class Simulator:
         if when < self.now:
             raise ValueError(
                 f"timeout_at({when!r}) is in the past (now={self.now!r})")
-        tmo = Timeout.__new__(Timeout)
-        tmo.sim = self
-        tmo.callbacks = []
-        tmo._value = value
-        tmo._ok = True
-        tmo._scheduled = True
-        tmo.delay = when - self.now
-        self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, tmo))
-        return tmo
+        return Timeout(self, when - self.now, value, when)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -436,21 +446,21 @@ class Simulator:
         crashed = self._crashed
         pop = heapq.heappop
         processed = 0
+        now = self.now  # only this loop advances the clock
         try:
             while queue:
                 if stop_event is not None and stop_event.callbacks is None:
                     break
-                when = queue[0][0]
-                if deadline is not None and when > deadline:
+                if deadline is not None and queue[0][0] > deadline:
                     self.now = deadline
                     break
                 if processed >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events} at t={self.now:g}s")
                 when, _seq, event = pop(queue)
-                if when < self.now:
+                if when < now:
                     raise SimulationError("time went backwards")
-                self.now = when
+                self.now = now = when
                 callbacks, event.callbacks = event.callbacks, None
                 processed += 1
                 for cb in callbacks:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, Timeout
 
 __all__ = ["Semaphore", "Mutex", "Channel", "Resource", "FifoServer"]
 
@@ -231,6 +231,17 @@ class Resource:
             self.release()
 
 
+class _JobDone(Timeout):
+    """A :class:`FifoServer` completion: a timeout at the job's end time,
+    named after its server for stall and deadlock reports."""
+
+    __slots__ = ("label",)
+
+    @property
+    def name(self) -> str:
+        return self.label
+
+
 class FifoServer:
     """Process-free serial server with a byte rate and fixed per-job overhead.
 
@@ -273,14 +284,15 @@ class FifoServer:
         """
         if nbytes < 0 or jobs < 0:
             raise ValueError("nbytes and jobs must be non-negative")
-        start = max(self.sim.now, self.busy_until)
+        now = self.sim.now
+        start = now if now >= self.busy_until else self.busy_until
         duration = self.service_time(nbytes, jobs) + extra_time
-        self.busy_until = start + duration
+        self.busy_until = done = start + duration
         self.busy_time += duration
         self.bytes_served += int(nbytes)
         self.jobs += jobs
-        ev = Event(self.sim, self._done_name)
-        ev.succeed(value=self.busy_until, delay=self.busy_until - self.sim.now)
+        ev = _JobDone(self.sim, done - now, done)
+        ev.label = self._done_name
         return ev
 
     @property

@@ -18,7 +18,7 @@ boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class BufferConfig:
             raise ValueError("page_size only applies to interleaved buffers")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One physical piece of a logical range: (bank, address, size, logical offset)."""
 
     bank_id: int
@@ -63,6 +62,8 @@ class Buffer:
         self.device = device
         self.config = config
         self.size = config.size
+        #: pages cycle across all banks (else one contiguous bank region)
+        self.interleaved = config.interleaved
         if config.interleaved:
             self.page_size = int(config.page_size)  # type: ignore[arg-type]
             self._pages = device.dram.allocate_interleaved(
@@ -74,10 +75,6 @@ class Buffer:
             self._pages = None
             self.bank_id, self.addr = device.dram.allocate(
                 config.size, bank_id=config.bank_id)
-
-    @property
-    def interleaved(self) -> bool:
-        return self.config.interleaved
 
     @property
     def n_pages(self) -> int:

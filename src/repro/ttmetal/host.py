@@ -154,6 +154,9 @@ class Program:
         self.kernels: List[_KernelSpec] = []
         self.circular_buffers: List[_CbSpec] = []
         self.semaphores: List[_SemSpec] = []
+        #: ``(id(core), slot)`` of every bound kernel, so ``CreateKernel``
+        #: rejects a second kernel on a slot without rescanning ``kernels``
+        self._bound_slots: set = set()
 
     @property
     def cores(self) -> List[TensixCore]:
@@ -179,8 +182,10 @@ def CreateKernel(program: Program, fn: KernelFn,
         if not c.is_worker:
             raise ValueError(f"core {c.coord} is storage-only; kernels "
                              "may only run on worker cores")
-        if any(s.core is c and s.slot == slot for s in program.kernels):
+        key = (id(c), slot)
+        if key in program._bound_slots:
             raise ValueError(f"core {c.coord} already has a {slot} kernel")
+        program._bound_slots.add(key)
         program.kernels.append(_KernelSpec(fn, c, slot, dict(args or {})))
 
 

@@ -64,6 +64,20 @@ def _rotating_gather(window: np.ndarray, pos: int, size: int) -> np.ndarray:
     return window[(pos + np.arange(size)) % win]
 
 
+class _Region:
+    """A fused charge region's pending charges, as running sums.
+
+    Each charge adds to ``wake_at`` and ``busy`` at once, in program order,
+    so they end at exactly the floats that the unfused ops' timeouts and
+    busy updates would have produced.  A region never spans a yield (an op
+    that would block closes it first), so its clock and the slot's busy
+    total are still current when it opens and when it closes.  Each
+    context reuses one instance.
+    """
+
+    __slots__ = ("charges", "opened_at", "wake_at", "busy")
+
+
 class _CtxBase:
     """Shared state/behaviour of all three kernel contexts."""
 
@@ -79,8 +93,15 @@ class _CtxBase:
         # builds contexts after the host attaches any tracer, so the
         # snapshot is always current when the kernel runs).
         self._tracer = getattr(self.args.get("_device"), "tracer", None)
-        # Pending charges of an open fused region (None = not fused).
-        self._fused: Optional[List[float]] = None
+        # The open fused region, if any (see fused_begin).
+        self._fused: Optional[_Region] = None
+        self._region = _Region()
+        # The core's tables, bound once.  They are mutated in place, never
+        # rebound: ``release_launch_state`` clears ``cbs`` and the next
+        # program refills it; ``inject_hang`` adds to ``hung_slots``.
+        self._cbs = core.cbs
+        self._hung = core.hung_slots
+        self._busy = core.busy_time
 
     # -- misc ---------------------------------------------------------------
     def arg(self, name: str, default=_REQUIRED):
@@ -112,27 +133,53 @@ class _CtxBase:
         if gate is not None:
             yield gate  # never fires; only Process.interrupt can free us
 
-    def _elapse(self, seconds: float):
-        """Charge busy time to this baby core (generator)."""
-        core = self.core
-        if core.hung_slots:
-            if self._fused is not None:
-                yield from self._fused_flush()
-            yield from self._hang_check()
+    # -- the busy-time charge ----------------------------------------------
+    # Every API op starts with ``yield from self._charge(cost)``.  This is
+    # the one place busy time is booked, and it is a plain method: on the
+    # common paths it returns a ready iterable — ``()`` when the charge
+    # joins an open fused region, ``(Timeout,)`` otherwise — so an op costs
+    # no extra generator frame per call or per resume.  A Timeout's value
+    # is None, so the tuple iterator is only ever advanced, never sent to.
+    # Only a core with a hung slot (the hang gate) or an attached tracer
+    # takes a generator path.
+    def _charge(self, seconds: float, steps: int = 1, gated: bool = True):
+        """Charge ``steps`` back-to-back ops of ``seconds`` busy time each.
+
+        Returns an iterable to ``yield from``.  Several steps cost one
+        simulator event, but the wake-up time and busy accounting use the
+        same sequential float additions as ``steps`` separate charges.
+        """
+        if gated and self._hung:
+            return self._gated_charge(seconds, steps)
+        if seconds <= 0 or steps <= 0:
+            return ()
+        region = self._fused
+        if region is None and steps == 1 and self._tracer is None:
+            self._busy[self.slot] += seconds
+            return (Timeout(self.sim, seconds),)
+        standalone = region is None
+        if standalone:  # several steps, or a traced charge: its own region
+            self.fused_begin()
+            region = self._fused
+        region.charges += steps
+        region.wake_at += seconds
+        region.busy += seconds
+        while steps > 1:  # one addition per step, as separate charges
+            region.wake_at += seconds
+            region.busy += seconds
+            steps -= 1
+        return self._fused_flush() if standalone else ()
+
+    #: the older name, which test kernels use to charge raw busy time
+    _elapse = _charge
+
+    def _gated_charge(self, seconds: float, steps: int):
+        """:meth:`_charge` on a core with a hung slot (generator): pay any
+        open region's charges, strand at this slot's hang gate, charge."""
         if self._fused is not None:
-            if seconds > 0:
-                self._fused.append(seconds)
-            return
-        if seconds > 0:
-            core.busy_time[self.slot] += seconds
-            sim = self.sim
-            if self._tracer is None:
-                yield Timeout(sim, seconds)
-            else:
-                t0 = sim.now
-                yield Timeout(sim, seconds)
-                self._tracer.record(core.coord, self.slot, "busy",
-                                    t0, sim.now)
+            yield from self._fused_flush()
+        yield from self._hang_check()
+        yield from self._charge(seconds, steps, gated=False)
 
     # -- fused charge regions ---------------------------------------------
     # A fused region coalesces the timeouts of consecutive API ops into a
@@ -148,64 +195,51 @@ class _CtxBase:
     # timestamp-exact; an op that would genuinely block flushes the
     # pending charges first (and re-tests at the flushed timestamp),
     # blocks exactly when the unfused op would, and then re-opens the
-    # region from the resume instant.
+    # region from the resume instant.  Only API ops may run inside a
+    # region: a raw ``yield`` there would let time pass under charges
+    # already summed from the opening instant, so closing such a region
+    # raises.
     def fused_begin(self) -> None:
         """Open a fused charge region (plain call, no yield)."""
         if self._fused is not None:
             raise KernelError("fused_begin() inside an open fused region")
-        self._fused = []
+        region = self._fused = self._region
+        region.charges = 0
+        region.opened_at = region.wake_at = self.sim.now
+        region.busy = self._busy[self.slot]
 
     def fused_end(self):
-        """Close the region, charging all pending ops as one event
-        (generator).  Tolerates a region already flushed by a blocking
-        op."""
-        if self._fused is not None:
-            yield from self._fused_flush()
+        """Close the region, charging all pending ops as one event.
+        Tolerates a region already flushed by a blocking op.  Returns an
+        iterable to ``yield from``, like every op."""
+        return () if self._fused is None else self._fused_flush()
 
     def _fused_flush(self):
-        charges = self._fused
+        """Close the open region and book its charges as one event;
+        returns an iterable to ``yield from`` (empty if nothing was
+        charged)."""
+        region = self._fused
         self._fused = None
-        if charges:
-            core = self.core
-            busy = core.busy_time
-            slot = self.slot
-            sim = self.sim
-            target = t0 = sim.now
-            for c in charges:
-                busy[slot] += c
-                target += c
-            yield sim.timeout_at(target)
-            if self._tracer is not None:
-                self._tracer.record(core.coord, slot, "busy", t0, sim.now)
+        if self.sim.now != region.opened_at:
+            raise KernelError(
+                f"core {self.core.coord}/{self.slot}: simulated time passed "
+                "inside a fused region (a raw yield between fused_begin() "
+                "and fused_end())")
+        if not region.charges:
+            return ()
+        self._busy[self.slot] = region.busy
+        tmo = self.sim.timeout_at(region.wake_at)
+        if self._tracer is None:
+            return (tmo,)
+        return self._traced_busy(tmo)
 
-    def _elapse_steps(self, seconds: float, steps: int):
-        """Charge ``steps`` back-to-back ops of ``seconds`` each (generator).
-
-        One simulator event covers the whole run, but the wake-up time and
-        busy accounting are accumulated with the same sequential float
-        additions as ``steps`` separate :meth:`_elapse` calls, so fused
-        API batches stay bit-identical in time to their unfused form.
-        """
-        core = self.core
-        if core.hung_slots:
-            if self._fused is not None:
-                yield from self._fused_flush()
-            yield from self._hang_check()
-        if seconds <= 0 or steps <= 0:
-            return
-        if self._fused is not None:
-            self._fused.extend([seconds] * steps)
-            return
-        busy = core.busy_time
-        slot = self.slot
-        sim = self.sim
-        target = t0 = sim.now
-        for _ in range(steps):
-            busy[slot] += seconds
-            target += seconds
-        yield sim.timeout_at(target)
-        if self._tracer is not None:
-            self._tracer.record(core.coord, slot, "busy", t0, sim.now)
+    def _traced_busy(self, event):
+        """Wait out a busy-time event and report it to the tracer
+        (generator)."""
+        t0 = self.sim.now
+        yield event
+        self._tracer.record(self.core.coord, self.slot, "busy", t0,
+                            self.sim.now)
 
     def _block(self, event):
         """Wait on an event, accounting the time as a stall (generator)."""
@@ -214,7 +248,7 @@ class _CtxBase:
             # pending charges before it starts stalling.
             yield from self._fused_flush()
         core = self.core
-        if core.hung_slots:
+        if self._hung:
             yield from self._hang_check()
         sim = self.sim
         t0 = sim.now
@@ -235,29 +269,33 @@ class _CtxBase:
             # must cost exactly zero simulated time.
             return
             yield  # pragma: no cover - unreachable; keeps this a generator
-        yield from self._elapse(self.costs.dprint_cost)
+        yield from self._charge(self.costs.dprint_cost)
         device.dprint_log.append(
             (self.sim.now, self.core.coord, self.slot, str(message)))
 
     def _cb(self, cb_id: int):
+        """The CB ``cb_id``, or a :class:`KernelError` naming the configured
+        ones.  Hot ops test ``cb_id in self._cbs`` inline and call this
+        only on a miss."""
         try:
-            return self.core.cbs[cb_id]
+            return self._cbs[cb_id]
         except KeyError:
             raise KernelError(
                 f"core {self.core.coord} has no CB {cb_id} "
-                f"(configured: {sorted(self.core.cbs)})") from None
+                f"(configured: {sorted(self._cbs)})") from None
 
     # -- circular buffers ------------------------------------------------------
     # The blocking ops consult the CB's synchronous fast path first: a
     # handshake that would complete immediately (pages already free /
     # committed, no queued peers, no wedge) commits without building an
-    # event or suspending the process — the preceding ``_elapse`` timeout
+    # event or suspending the process — the preceding ``_charge`` timeout
     # already anchored the simulated time, so the wake-up instant is
     # unchanged.  Only genuinely blocking handshakes take the event path.
     def cb_reserve_back(self, cb_id: int, n: int = 1):
         """Block until ``n`` pages are free in the CB, then reserve them."""
-        yield from self._elapse(self.costs.cb_op)
-        cb = self._cb(cb_id)
+        yield from self._charge(self.costs.cb_op)
+        cbs = self._cbs
+        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
         if not cb.try_reserve(n):
             if self._fused is not None:
                 # Re-test at the flushed (true) timestamp: pages freed
@@ -268,32 +306,35 @@ class _CtxBase:
                 yield from self._fused_flush()
                 if not cb.try_reserve(n):
                     yield from self._block(cb.reserve_back(n))
-                self._fused = []
+                self.fused_begin()
                 return
             yield from self._block(cb.reserve_back(n))
 
     def cb_push_back(self, cb_id: int, n: int = 1):
         """Commit ``n`` reserved pages to the consumer side."""
-        yield from self._elapse(self.costs.cb_op)
-        self._cb(cb_id).push_back(n)
+        yield from self._charge(self.costs.cb_op)
+        cbs = self._cbs
+        (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).push_back(n)
 
     def cb_wait_front(self, cb_id: int, n: int = 1):
         """Block until ``n`` pages are committed in the CB."""
-        yield from self._elapse(self.costs.cb_op)
-        cb = self._cb(cb_id)
+        yield from self._charge(self.costs.cb_op)
+        cbs = self._cbs
+        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
         if not cb.try_wait(n):
             if self._fused is not None:
                 yield from self._fused_flush()
                 if not cb.try_wait(n):
                     yield from self._block(cb.wait_front(n))
-                self._fused = []
+                self.fused_begin()
                 return
             yield from self._block(cb.wait_front(n))
 
     def cb_pop_front(self, cb_id: int, n: int = 1):
         """Recycle ``n`` consumed pages."""
-        yield from self._elapse(self.costs.cb_op)
-        self._cb(cb_id).pop_front(n)
+        yield from self._charge(self.costs.cb_op)
+        cbs = self._cbs
+        (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).pop_front(n)
 
     def cb_write_ptr(self, cb_id: int) -> int:
         """L1 address of the reserved back page (``get_write_ptr``)."""
@@ -301,7 +342,8 @@ class _CtxBase:
 
     def cb_read_ptr(self, cb_id: int) -> int:
         """L1 address the consumer reads from (``get_read_ptr``)."""
-        return self._cb(cb_id).get_read_ptr()
+        cbs = self._cbs
+        return (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).get_read_ptr()
 
     # -- raw L1 access ------------------------------------------------------
     def l1_store_u16(self, addr: int, values: np.ndarray):
@@ -311,13 +353,13 @@ class _CtxBase:
         Charged as one memcpy call.
         """
         vals = np.asarray(values, dtype=np.uint16).ravel()
-        yield from self._elapse(self.costs.memcpy_time(vals.size * 2, calls=1))
+        yield from self._charge(self.costs.memcpy_time(vals.size * 2, calls=1))
         self.core.sram.view_u16(addr, vals.size)[:] = vals
 
     def l1_store_u32(self, addr: int, values: np.ndarray):
         """Store 32-bit words into L1 (FP32 constant fills)."""
         vals = np.asarray(values, dtype=np.uint32).ravel()
-        yield from self._elapse(self.costs.memcpy_time(vals.size * 4, calls=1))
+        yield from self._charge(self.costs.memcpy_time(vals.size * 4, calls=1))
         self.core.sram.view_u32(addr, vals.size)[:] = vals
 
     def l1_view_u16(self, addr: int, count: int) -> np.ndarray:
@@ -340,23 +382,23 @@ class _CtxBase:
         return sem
 
     def semaphore_set(self, sem, value: int):
-        yield from self._elapse(self.costs.semaphore_op)
+        yield from self._charge(self.costs.semaphore_op)
         self._resolve_sem(sem).set_value(value)
 
     def semaphore_inc(self, sem, n: int = 1):
-        yield from self._elapse(self.costs.semaphore_op)
+        yield from self._charge(self.costs.semaphore_op)
         self._resolve_sem(sem).release(n)
 
     def semaphore_wait(self, sem, value: int):
         """Block until the semaphore reaches ``value`` (non-consuming)."""
-        yield from self._elapse(self.costs.semaphore_op)
+        yield from self._charge(self.costs.semaphore_op)
         sem = self._resolve_sem(sem)
         if not sem.try_wait_at_least(value):
             if self._fused is not None:
                 yield from self._fused_flush()
                 if not sem.try_wait_at_least(value):
                     yield from self._block(sem.wait_at_least(value))
-                self._fused = []
+                self.fused_begin()
                 return
             yield from self._block(sem.wait_at_least(value))
 
@@ -406,7 +448,7 @@ class DataMoverCtx(_CtxBase):
         the outstanding set drained by :meth:`noc_async_read_barrier`.
         """
         pen = self._read_penalty(noc_addr.bank_id, noc_addr.addr, size)
-        yield from self._elapse(self.costs.read_issue + pen)
+        yield from self._charge(self.costs.read_issue + pen)
         data, ev = self.noc.read(self.link,
                                  ReadJob(noc_addr.bank_id, noc_addr.addr, size))
         self.core.sram.view(l1_addr, size)[:] = data
@@ -422,7 +464,7 @@ class DataMoverCtx(_CtxBase):
         """
         pending = self._outstanding_reads
         if not pending:
-            if self.core.hung_slots:
+            if self._hung:
                 yield from self._hang_check()
             return
         self._outstanding_reads = []
@@ -432,7 +474,7 @@ class DataMoverCtx(_CtxBase):
     def noc_async_write(self, l1_addr: int, noc_addr: NocAddr, size: int):
         """Non-blocking L1→DRAM write (alignment rules apply at the bank)."""
         pen = self._write_penalty(noc_addr.bank_id, noc_addr.addr, size)
-        yield from self._elapse(self.costs.write_issue + pen)
+        yield from self._charge(self.costs.write_issue + pen)
         data = self.core.sram.view(l1_addr, size).copy()
         ev = self.noc.write(self.link,
                             WriteJob(noc_addr.bank_id, noc_addr.addr, data))
@@ -443,7 +485,7 @@ class DataMoverCtx(_CtxBase):
         single-event / empty-set fast paths as the read barrier)."""
         pending = self._outstanding_writes
         if not pending:
-            if self.core.hung_slots:
+            if self._hung:
                 yield from self._hang_check()
             return
         self._outstanding_writes = []
@@ -465,7 +507,7 @@ class DataMoverCtx(_CtxBase):
         issue = self.costs.read_issue + pen
         if len(jobs) > 1:
             issue += (len(jobs) - 1) * self.costs.page_overhead_read
-        yield from self._elapse(issue)
+        yield from self._charge(issue)
         out: List[np.ndarray] = []
         ev = self.noc.read_burst(self.link, jobs, out, replay=replay,
                                  interleaved=buf.interleaved)
@@ -486,7 +528,7 @@ class DataMoverCtx(_CtxBase):
         issue = self.costs.write_issue + pen
         if len(jobs) > 1:
             issue += (len(jobs) - 1) * self.costs.page_overhead_write
-        yield from self._elapse(issue)
+        yield from self._charge(issue)
         ev = self.noc.write_burst(self.link, jobs, interleaved=buf.interleaved)
         self._outstanding_writes.append(ev)
 
@@ -516,7 +558,7 @@ class DataMoverCtx(_CtxBase):
             issue += extra_pages * self.costs.page_overhead_read
         if sync:
             issue += len(jobs) * self.costs.read_latency
-        yield from self._elapse(issue)
+        yield from self._charge(issue)
         out: List[np.ndarray] = []
         ev = self.noc.read_burst(self.link, jobs, out, replay=replay,
                                  interleaved=buf.interleaved)
@@ -558,7 +600,7 @@ class DataMoverCtx(_CtxBase):
             issue += extra_pages * self.costs.page_overhead_write
         if sync:
             issue += len(jobs) * self.costs.write_latency
-        yield from self._elapse(issue)
+        yield from self._charge(issue)
         ev = self.noc.write_burst(self.link, jobs, interleaved=buf.interleaved)
         self._outstanding_writes.append(ev)
 
@@ -599,7 +641,7 @@ class DataMoverCtx(_CtxBase):
                  + pen_count * self.costs.noncontig_read)
         if sync:
             issue += n_requests * self.costs.read_latency
-        yield from self._elapse(issue)
+        yield from self._charge(issue)
         data = buf.gather_uniform(start, n_requests, batch, stride)
         self._place_window(l1_addr, window, data)
         self._last_read_end = (buf.bank_id,
@@ -621,7 +663,7 @@ class DataMoverCtx(_CtxBase):
                  + pen_count * self.costs.noncontig_write)
         if sync:
             issue += n_requests * self.costs.write_latency
-        yield from self._elapse(issue)
+        yield from self._charge(issue)
         total = n_requests * batch
         win = window if window is not None else total
         src = self.core.sram.view(l1_addr, win)
@@ -641,7 +683,7 @@ class DataMoverCtx(_CtxBase):
         paper's kernels never use them; the SRAM-resident solver
         (:mod:`repro.core.jacobi_sram`) exchanges halo rows this way.
         """
-        yield from self._elapse(self.costs.write_issue)
+        yield from self._charge(self.costs.write_issue)
         src = self.core.sram.view(src_l1, size).copy()
         ev = self.noc.sram_copy(self.link, src,
                                 dst_core.sram.view(dst_l1, size))
@@ -660,7 +702,7 @@ class DataMoverCtx(_CtxBase):
         if not dsts:
             raise KernelError(
                 "noc_sram_write_multicast needs at least one destination")
-        yield from self._elapse(self.costs.write_issue)
+        yield from self._charge(self.costs.write_issue)
         src = self.core.sram.view(src_l1, size).copy()
         for dst in dsts:
             ev = self.noc.sram_copy(self.link, src,
@@ -675,7 +717,7 @@ class DataMoverCtx(_CtxBase):
 
     def memcpy(self, dst_l1: int, src_l1: int, size: int):
         """One contiguous L1→L1 copy (expensive: ~633 MB/s + 450 ns/call)."""
-        yield from self._elapse(self.costs.memcpy_time(
+        yield from self._charge(self.costs.memcpy_time(
             size, calls=1, misaligned=self._copy_misaligned(dst_l1, src_l1)))
         sram = self.core.sram
         sram.view(dst_l1, size)[:] = sram.view(src_l1, size).copy()
@@ -691,7 +733,7 @@ class DataMoverCtx(_CtxBase):
             raise KernelError("rows and row_bytes must be positive")
         misaligned = self._copy_misaligned(dst_l1, src_l1,
                                            dst_stride, src_stride)
-        yield from self._elapse(
+        yield from self._charge(
             self.costs.memcpy_time(rows * row_bytes, calls=rows,
                                    misaligned=misaligned))
         sram = self.core.sram
@@ -711,61 +753,73 @@ class ComputeCtx(_CtxBase):
 
     # -- register file ---------------------------------------------------------
     def tile_regs_acquire(self):
-        yield from self._elapse(self.costs.cb_op)
+        yield from self._charge(self.costs.cb_op)
         self.fpu.acquire_dst()
 
     def tile_regs_release(self):
-        yield from self._elapse(self.costs.cb_op)
+        yield from self._charge(self.costs.cb_op)
         self.fpu.release_dst()
 
     # -- tile math (each charges one calibrated FPU op) --------------------------
     def add_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int, dst: int):
-        yield from self._elapse(self.costs.fpu_op)
-        self.fpu.add_tiles(self._cb(cb_a), self._cb(cb_b), ia, ib, dst)
+        yield from self._charge(self.costs.fpu_op)
+        cbs = self._cbs
+        self.fpu.add_tiles(cbs[cb_a] if cb_a in cbs else self._cb(cb_a),
+                       cbs[cb_b] if cb_b in cbs else self._cb(cb_b),
+                       ia, ib, dst)
 
     def sub_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int, dst: int):
-        yield from self._elapse(self.costs.fpu_op)
-        self.fpu.sub_tiles(self._cb(cb_a), self._cb(cb_b), ia, ib, dst)
+        yield from self._charge(self.costs.fpu_op)
+        cbs = self._cbs
+        self.fpu.sub_tiles(cbs[cb_a] if cb_a in cbs else self._cb(cb_a),
+                       cbs[cb_b] if cb_b in cbs else self._cb(cb_b),
+                       ia, ib, dst)
 
     def mul_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int, dst: int):
-        yield from self._elapse(self.costs.fpu_op)
-        self.fpu.mul_tiles(self._cb(cb_a), self._cb(cb_b), ia, ib, dst)
+        yield from self._charge(self.costs.fpu_op)
+        cbs = self._cbs
+        self.fpu.mul_tiles(cbs[cb_a] if cb_a in cbs else self._cb(cb_a),
+                       cbs[cb_b] if cb_b in cbs else self._cb(cb_b),
+                       ia, ib, dst)
 
     def copy_tile(self, cb: int, idx: int, dst: int):
-        yield from self._elapse(self.costs.fpu_op)
+        yield from self._charge(self.costs.fpu_op)
         self.fpu.copy_tile(self._cb(cb), idx, dst)
 
     def add_tile_to_dst(self, cb: int, idx: int, dst: int):
         """Destination-accumulation mode (the paper's rejected variant)."""
-        yield from self._elapse(self.costs.fpu_op)
+        yield from self._charge(self.costs.fpu_op)
         self.fpu.add_tiles_to_dst(self._cb(cb), idx, dst)
 
     def unary_tile(self, op: str, cb: int, idx: int, dst: int):
         """SFPU elementwise op: exp/log/sqrt/square/abs/sin/cos/
         reciprocal/relu/sigmoid (the FPU capabilities the paper lists)."""
-        yield from self._elapse(self.costs.fpu_op)
+        yield from self._charge(self.costs.fpu_op)
         self.fpu.unary_tile(op, self._cb(cb), idx, dst)
 
     def reduce_tile(self, cb: int, idx: int, dst: int, kind: str = "sum"):
         """Scalar tile reduction (sum / max / absmax); value in dst[0]."""
-        yield from self._elapse(self.costs.fpu_op)
+        yield from self._charge(self.costs.fpu_op)
         return self.fpu.reduce_tile(self._cb(cb), idx, dst, kind=kind)
 
     def matmul_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int,
                      dst: int, accumulate: bool = False):
         """32x32 tile matrix multiply — the FPU's ML primitive."""
-        yield from self._elapse(self.costs.fpu_op)
+        yield from self._charge(self.costs.fpu_op)
         self.fpu.matmul_tiles(self._cb(cb_a), self._cb(cb_b), ia, ib, dst,
                               accumulate=accumulate)
 
     def transpose_tile(self, cb: int, idx: int, dst: int):
         """32x32 tile transpose."""
-        yield from self._elapse(self.costs.fpu_op)
+        yield from self._charge(self.costs.fpu_op)
         self.fpu.transpose_tile(self._cb(cb), idx, dst)
 
     def pack_tile(self, dst: int, cb_out: int, page_offset: int = 0):
-        yield from self._elapse(self.costs.fpu_op)
-        self.fpu.pack_tile(dst, self._cb(cb_out), page_offset)
+        yield from self._charge(self.costs.fpu_op)
+        cbs = self._cbs
+        self.fpu.pack_tile(
+            dst, cbs[cb_out] if cb_out in cbs else self._cb(cb_out),
+            page_offset)
 
     def cb_set_wr_ptr(self, cb_id: int, l1_addr: int):
         """Producer-side alias (the Section-VIII API recommendation).
@@ -773,7 +827,7 @@ class ComputeCtx(_CtxBase):
         Points the packer at an arbitrary L1 address so ``pack_tile``
         writes straight into e.g. an SRAM-resident domain slab.
         """
-        yield from self._elapse(self.costs.cb_op)
+        yield from self._charge(self.costs.cb_op)
         self._cb(cb_id).set_wr_ptr(l1_addr)
 
     # -- the paper's extension ----------------------------------------------------
@@ -784,7 +838,7 @@ class ComputeCtx(_CtxBase):
         reads alias the data mover's local buffer — no memcpy.  Install it
         after ``cb_wait_front`` completes, exactly as the paper describes.
         """
-        yield from self._elapse(self.costs.cb_op)
+        yield from self._charge(self.costs.cb_op)
         self._cb(cb_id).set_rd_ptr(l1_addr)
 
     def cb_set_rd_ptrs(self, *assignments: tuple[int, int]):
@@ -792,10 +846,12 @@ class ComputeCtx(_CtxBase):
 
         The pointer pokes are consumer-private state (nothing else can
         observe them between the individual ops), so the per-op charges
-        fuse into one simulator event via ``_elapse_steps`` — same final
+        fuse into one simulator event via ``_charge``'s ``steps`` — same final
         timestamp and busy accounting, three fewer events per fused
         4-pointer row in the optimised Jacobi kernel.
         """
-        yield from self._elapse_steps(self.costs.cb_op, len(assignments))
+        yield from self._charge(self.costs.cb_op, len(assignments))
+        cbs = self._cbs
         for cb_id, l1_addr in assignments:
-            self._cb(cb_id).set_rd_ptr(l1_addr)
+            (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).set_rd_ptr(
+                l1_addr)
