@@ -34,6 +34,10 @@ from repro.sim.engine import _PENDING
 
 __all__ = ["CircularBuffer", "CBError"]
 
+#: page views one CB keeps before starting over (see ``_new_page``); far
+#: above the distinct addresses any shipped kernel aliases
+MAX_PAGE_VIEWS = 4096
+
 
 class CBError(RuntimeError):
     """Protocol violation on a circular buffer (over-push, over-pop, ...)."""
@@ -91,11 +95,15 @@ class CircularBuffer:
         self.name = name or f"cb{cb_id}"
         self.base = sram.allocate(page_size * n_pages, align=32,
                                   label=self.name)
-        # The CB's own pages lie inside its allocation, so their 16-bit
-        # views slice ``sram.words`` directly; aliases go through the
-        # bounds-checked ``Sram.view_u16``.
-        self._base_word = self.base >> 1
-        self._page_len16 = page_size // 2
+        # A page of either width, own or aliased, is one slice of the
+        # Sram array for that width (``sram.u16`` for BF16, ``sram.f32``
+        # for FP32), made once per L1 address and kept in ``_pages``.
+        # Own pages are aligned and inside the allocation; aliases are
+        # checked for alignment when set and for L1 bounds when first
+        # viewed.
+        self._words = sram.u16 if dtype == "bf16" else sram.f32
+        self._page_words = page_size // self.elem_bytes
+        self._pages: dict = {}
 
         # Queue state: absolute page counters (never wrap; modulo for slots).
         self._reserved = 0   # pages handed to the producer (reserve_back)
@@ -184,46 +192,39 @@ class CircularBuffer:
             raise CBError(f"{self.name}: get_write_ptr without reserved pages")
         return self._slot_addr(self._pushed)
 
-    def _view_bits(self, addr: int) -> np.ndarray:
-        if self.dtype == "fp32":
-            return self.sram.view_u32(addr, self.page_size // 4)
-        return self.sram.view_u16(addr, self.page_size // 2)
+    def _new_page(self, addr: int, page_offset: int) -> np.ndarray:
+        """Slice the page at (element-aligned) L1 address ``addr`` and keep
+        it; ``IndexError`` if it runs outside L1."""
+        word = addr // self.elem_bytes
+        if word < 0 or word + self._page_words > self._words.size:
+            raise IndexError(
+                f"{self.name}: page {page_offset} at L1 [{addr}, "
+                f"{addr + self.page_size}) outside {self.sram.capacity}")
+        if len(self._pages) >= MAX_PAGE_VIEWS:
+            self._pages.clear()   # a long sweep of distinct aliases
+        view = self._pages[addr] = self._words[word:word + self._page_words]
+        return view
 
-    def back_view_bits(self, page_offset: int = 0) -> np.ndarray:
-        """Producer view of a back page in the CB's element width."""
-        if self._wr_alias is not None:
-            return self._view_bits(self._wr_alias
-                                   + page_offset * self.page_size)
-        if self._pushed + page_offset >= self._reserved:
-            raise CBError(f"{self.name}: back page {page_offset} not reserved")
-        return self._view_bits(self._slot_addr(self._pushed + page_offset))
-
-    def front_view_bits(self, page_offset: int = 0) -> np.ndarray:
-        """Consumer view of a committed page (honours the rd alias)."""
-        if self._rd_alias is not None:
-            return self._view_bits(self._rd_alias
-                                   + page_offset * self.page_size)
-        if page_offset >= self.pages_committed:
-            raise CBError(
-                f"{self.name}: front page {page_offset} beyond committed "
-                f"{self.pages_committed}")
-        return self._view_bits(self._slot_addr(self._popped + page_offset))
-
-    def back_view_u16(self, page_offset: int = 0) -> np.ndarray:
-        """16-bit view of a reserved-but-unpushed page (producer fill).
+    def back_page(self, page_offset: int = 0) -> np.ndarray:
+        """Producer view of back page ``page_offset`` in the CB's element
+        width: ``uint16`` words for BF16, ``float32`` lanes for FP32.
 
         With a write-pointer alias installed, the view targets the alias
         instead (no reservation needed — the pages are not used).
         """
-        if self._wr_alias is not None:
-            return self.sram.view_u16(
-                self._wr_alias + page_offset * self.page_size,
-                self.page_size // 2)
-        page = self._pushed + page_offset
-        if page >= self._reserved:
-            raise CBError(f"{self.name}: back page {page_offset} not reserved")
-        word = self._base_word + page % self.n_pages * self._page_len16
-        return self.sram.words[word:word + self._page_len16]
+        alias = self._wr_alias
+        if alias is None:
+            page = self._pushed + page_offset
+            if page >= self._reserved:
+                raise CBError(
+                    f"{self.name}: back page {page_offset} not reserved")
+            addr = self.base + page % self.n_pages * self.page_size
+        else:
+            addr = alias + page_offset * self.page_size
+        try:
+            return self._pages[addr]
+        except KeyError:
+            return self._new_page(addr, page_offset)
 
     def set_wr_ptr(self, l1_addr: int) -> None:
         """Alias the producer write pointer to ``l1_addr`` (extension).
@@ -235,8 +236,11 @@ class CircularBuffer:
         """
         if l1_addr < 0 or l1_addr + self.page_size > self.sram.capacity:
             raise CBError(f"{self.name}: wr_ptr alias {l1_addr} out of L1")
-        if l1_addr % 2:
-            raise CBError(f"{self.name}: wr_ptr alias must be 2-byte aligned")
+        if l1_addr % self.elem_bytes:
+            raise CBError(
+                f"{self.name}: wr_ptr alias {l1_addr} must be "
+                f"{self.elem_bytes}-byte aligned for its {self.dtype} "
+                "elements")
         self._wr_alias = l1_addr
 
     def clear_wr_ptr(self) -> None:
@@ -273,19 +277,23 @@ class CircularBuffer:
             raise CBError(f"{self.name}: get_read_ptr with no committed pages")
         return self._slot_addr(self._popped)
 
-    def front_view_u16(self, page_offset: int = 0) -> np.ndarray:
-        """16-bit view of committed page ``page_offset`` (or the alias)."""
-        if self._rd_alias is not None:
-            return self.sram.view_u16(
-                self._rd_alias + page_offset * self.page_size,
-                self.page_size // 2)
-        if page_offset >= self._pushed - self._popped:
-            raise CBError(
-                f"{self.name}: front page {page_offset} beyond committed "
-                f"{self.pages_committed}")
-        word = self._base_word + ((self._popped + page_offset) % self.n_pages
-                                  * self._page_len16)
-        return self.sram.words[word:word + self._page_len16]
+    def front_page(self, page_offset: int = 0) -> np.ndarray:
+        """Consumer view of committed page ``page_offset`` (or of the rd
+        alias) in the CB's element width, as :meth:`back_page`."""
+        alias = self._rd_alias
+        if alias is None:
+            if page_offset >= self._pushed - self._popped:
+                raise CBError(
+                    f"{self.name}: front page {page_offset} beyond committed "
+                    f"{self.pages_committed}")
+            addr = self.base + ((self._popped + page_offset) % self.n_pages
+                                * self.page_size)
+        else:
+            addr = alias + page_offset * self.page_size
+        try:
+            return self._pages[addr]
+        except KeyError:
+            return self._new_page(addr, page_offset)
 
     def set_rd_ptr(self, l1_addr: int) -> None:
         """``cb_set_rd_ptr``: alias the consumer read pointer to ``l1_addr``.
@@ -297,8 +305,11 @@ class CircularBuffer:
         """
         if l1_addr < 0 or l1_addr + self.page_size > self.sram.capacity:
             raise CBError(f"{self.name}: rd_ptr alias {l1_addr} out of L1")
-        if l1_addr % 2:
-            raise CBError(f"{self.name}: rd_ptr alias must be 2-byte aligned")
+        if l1_addr % self.elem_bytes:
+            raise CBError(
+                f"{self.name}: rd_ptr alias {l1_addr} must be "
+                f"{self.elem_bytes}-byte aligned for its {self.dtype} "
+                "elements")
         self._rd_alias = l1_addr
 
     # -- fault injection -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The Tensix matrix/vector FPU: tile math on BF16 CB pages.
+"""The Tensix matrix/vector FPU: tile math on BF16 and FP32 CB pages.
 
 The FPU is a 16384-bit wide engine: one operation covers 1024 BF16
 elements (a 32×32 tile).  tt-metal drives it through the three compute
@@ -13,7 +13,8 @@ operation, as calibrated from Table II's compute-only row.
 
 Internal precision: operands are unpacked to float32, math runs at
 float32, and ``pack_tile`` rounds once to BF16 — matching the hardware
-contract that each CB-to-CB pass costs exactly one rounding.
+contract that each CB-to-CB pass costs exactly one rounding.  FP32 pages
+(the Wormhole-precision mode) unpack and pack unchanged.
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ class Fpu:
         self._acquired = False
         self.ops = 0          #: tile operations executed (for reports)
         self.packs = 0
-        # The two operand latches BF16 pages unpack into (see _unpack),
-        # grown to the widest page seen.
-        self._operands = [_latch(0), _latch(0)]
+        # The operand latches pages unpack into (see _unpack), by operand
+        # and page length: BF16 latches as _latch pairs, FP32 latches as
+        # plain float32 arrays, so the BF16 latches' low halves are never
+        # written.
+        self._operands = ({}, {})
+        self._fp32_operands = ({}, {})
 
     # -- register file management (tile_regs_acquire / release) -----------
     def acquire_dst(self) -> None:
@@ -91,30 +95,38 @@ class Fpu:
 
         Pages up to one tile (2048 B: 1024 BF16 or 512 FP32 elements — the
         same 16384-bit FPU width) are accepted: a ragged chunk still
-        occupies a full FPU pass but carries fewer elements.  FP32 pages
-        (the Wormhole-precision mode) unpack losslessly into a fresh
-        array.
+        occupies a full FPU pass but carries fewer elements.
 
-        BF16 is the high half of a float32, so a BF16 page widens with
-        one copy into the high halves of operand latch ``operand`` (0 or
-        1).  The result is a view of the latch, valid until the latch is
-        next used: every op computes a fresh array from it, and
+        The page is copied once into operand latch ``operand`` (0 or 1)
+        of its width and length: an FP32 page (the Wormhole-precision
+        mode) into a float32 latch unchanged, a BF16 page — the high half
+        of a float32 — into the high halves of a latch whose low halves
+        stay zero.  The result is the latch itself, valid until the latch
+        is next used: every op computes a fresh array from it, and
         ``copy_tile``, which keeps the tile itself, copies it, so no
-        register aliases a latch or L1.
+        register aliases a latch or L1, and an op whose output page is
+        one of its input pages reads its inputs before it writes.
         """
         if cb.page_size % 2 or cb.page_size > TILE_ELEMS * 2:
             raise FpuError(
                 f"{cb.name}: FPU pages must be even-sized and at most "
                 f"{TILE_ELEMS * 2} B, got {cb.page_size}")
-        if cb.dtype == "fp32":
-            return cb.front_view_bits(tile_index).copy().view(np.float32)
-        page = cb.front_view_u16(tile_index)
-        high, f32 = self._operands[operand]
+        page = cb.front_page(tile_index)
         n = page.size
-        if f32.size < n:
-            high, f32 = self._operands[operand] = _latch(n)
-        high[:n] = page
-        return f32[:n]
+        if cb.elem_bytes == 4:
+            try:
+                f32 = self._fp32_operands[operand][n]
+            except KeyError:
+                f32 = self._fp32_operands[operand][n] = np.zeros(
+                    n, np.float32)
+            f32[...] = page
+            return f32
+        try:
+            high, f32 = self._operands[operand][n]
+        except KeyError:
+            high, f32 = self._operands[operand][n] = _latch(n)
+        high[...] = page
+        return f32
 
     def _binary(self, cb_a: CircularBuffer, cb_b: CircularBuffer,
                 ia: int, ib: int, dst: int, op: Callable) -> None:
@@ -258,27 +270,24 @@ class Fpu:
 
     def pack_tile(self, dst: int, cb_out: CircularBuffer,
                   page_offset: int = 0) -> None:
-        """``pack_tile``: round a register to BF16 into a reserved CB page.
+        """``pack_tile``: write a register into a reserved CB page.
 
-        BF16 pages receive the rounded bits in place (``f32_to_bits`` with
-        ``out=``); FP32 pages take the register's words unchanged.
+        A BF16 page receives the register rounded once to BF16, in place
+        (``f32_to_bits`` with ``out=``); an FP32 page receives the
+        register's float32 lanes in one copy, bit for bit.
         """
         if not self._acquired or not 0 <= dst < N_DST_REGISTERS:
             self._check_dst(dst)
         reg = self._dst[dst]
         if reg is None:
             raise FpuError(f"pack of empty dst register {dst}")
-        if cb_out.dtype == "fp32":
-            out = cb_out.back_view_bits(page_offset)
-        else:
-            out = cb_out.back_view_u16(page_offset)
+        out = cb_out.back_page(page_offset)
         if out.size != reg.size:
             raise FpuError(
                 f"{cb_out.name}: pack size mismatch — register holds "
                 f"{reg.size} elements, page holds {out.size}")
-        if cb_out.dtype == "fp32":
-            out[:] = np.ascontiguousarray(
-                reg, dtype=np.float32).ravel().view(np.uint32)
+        if cb_out.elem_bytes == 4:
+            out[...] = reg if reg.ndim == 1 else reg.ravel()
         else:
             f32_to_bits(reg, out=out)
         self.packs += 1

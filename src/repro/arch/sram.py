@@ -3,7 +3,8 @@
 Circular buffers, the paper's double-buffered local read buffers, and the
 scalar-constant CB all live here.  Addresses are plain integers into the
 backing array; views are NumPy slices so data movement is zero-copy on the
-Python side.
+Python side.  The same bytes are also kept as 16-bit words, 32-bit words
+and float32 lanes, so an aligned view of any width is one slice.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ class Sram:
             raise ValueError("SRAM capacity below the reserved region")
         self.capacity = capacity
         self.mem = np.zeros(capacity, dtype=np.uint8)
-        #: the same bytes as little-endian 16-bit words (BF16 payloads):
-        #: word ``i`` is bytes ``2i, 2i+1``, so a page view is one slice
-        self.words = self.mem[:capacity - capacity % 2].view("<u2")
+        #: the same bytes as little-endian 16-bit words (BF16 payloads),
+        #: 32-bit words and float32 lanes (FP32 payloads): element ``i`` of
+        #: a ``w``-byte array is bytes ``w*i .. w*i + w - 1``
+        self.u16 = self.mem[:capacity - capacity % 2].view("<u2")
+        self.u32 = self.mem[:capacity - capacity % 4].view("<u4")
+        self.f32 = self.u32.view("<f4")
         self._brk = self.RESERVED
         #: every allocation as (base, size, label) — consumed by
         #: ``repro.lint``'s L1-overlap rule (P204)
@@ -80,19 +84,25 @@ class Sram:
                 f"L1 access [{addr}, {addr + size}) outside {self.capacity}")
         return self.mem[addr:addr + size]
 
+    def _words(self, array: np.ndarray, addr: int, count: int) -> np.ndarray:
+        """``count`` elements of ``array`` (:attr:`u16`, :attr:`u32` or
+        :attr:`f32`) from byte ``addr``: one slice, after the alignment
+        and L1-bounds checks."""
+        width = array.itemsize
+        if addr % width:
+            raise ValueError(f"{8 * width}-bit view requires {width}-byte "
+                             "alignment")
+        if addr < 0 or addr + count * width > self.capacity:
+            raise IndexError(
+                f"L1 access [{addr}, {addr + count * width}) outside "
+                f"{self.capacity}")
+        word = addr // width
+        return array[word:word + count]
+
     def view_u16(self, addr: int, count: int) -> np.ndarray:
         """A view of ``count`` little-endian 16-bit words (BF16 payloads)."""
-        if addr % 2:
-            raise ValueError("16-bit view requires 2-byte alignment")
-        if addr < 0 or addr + count * 2 > self.capacity:
-            raise IndexError(
-                f"L1 access [{addr}, {addr + count * 2}) outside "
-                f"{self.capacity}")
-        word = addr >> 1
-        return self.words[word:word + count]
+        return self._words(self.u16, addr, count)
 
     def view_u32(self, addr: int, count: int) -> np.ndarray:
         """A view of ``count`` little-endian 32-bit words."""
-        if addr % 4:
-            raise ValueError("32-bit view requires 4-byte alignment")
-        return self.view(addr, count * 4).view("<u4")
+        return self._words(self.u32, addr, count)

@@ -122,11 +122,32 @@ class StencilSpec:
         ``u ← u − cu·(u − u_west) − cv·(u − u_north)`` — the atmospheric
         advection pattern the paper names as its next target (flow toward
         +x, +y).  Stable for cu + cv ≤ 1.
+
+        The stored coefficients must keep that bound: ``cu`` and ``cv``
+        round to BF16 as usual, and ``center`` is ``1 - cu - cv`` of the
+        *rounded* pair, rounded toward zero, so the three sum to at most 1
+        (rounding all three to nearest independently can sum past 1, and
+        the scheme then amplifies).  When the rounded pair alone exceeds
+        1, ``center`` is 0.
         """
         if cu < 0 or cv < 0 or cu + cv > 1:
             raise ValueError("upwind stability needs cu, cv >= 0 and "
                              "cu + cv <= 1")
-        return cls(center=1 - cu - cv, west=cu, east=0.0, north=cv,
+        # exact arithmetic; imported here, since fractions pulls in decimal
+        # and every other import of this module would pay for it
+        from fractions import Fraction
+
+        west, north = (float(bf16_round(np.float32(c))) for c in (cu, cv))
+        rest = Fraction(1) - Fraction(west) - Fraction(north)
+        center = 0.0
+        if rest > 0:
+            # truncate to the BF16 grid; one step down if the float32
+            # conversion rounded past the exact remainder
+            bits = bf16_high_bits(np.float32(rest))
+            center = float(bits_to_f32(bits))
+            if Fraction(center) > rest:
+                center = float(bits_to_f32(bits - np.uint16(1)))
+        return cls(center=center, west=west, east=0.0, north=north,
                    south=0.0)
 
     def active_terms(self) -> List[Tuple[int, str, int, int]]:

@@ -187,9 +187,10 @@ class _ReplayState:
 class _CtxProxy:
     """Wraps a kernel ctx, counting yielded API calls like the linearizer.
 
-    Only generator-function attributes (the yielded kernel API) are
-    counted; plain attributes and value-position helpers pass through
-    untouched, matching the symbolic trace's Call-node count.
+    Only the yielded kernel API is counted — generator-function
+    attributes and the ops written as plain methods (marked ``api_op``);
+    plain attributes and value-position helpers pass through untouched,
+    matching the symbolic trace's Call-node count.
     """
 
     def __init__(self, real, label: str, index: int, role: str,
@@ -203,7 +204,8 @@ class _CtxProxy:
 
     def __getattr__(self, name):
         attr = getattr(self._real, name)
-        if callable(attr) and inspect.isgeneratorfunction(attr):
+        if callable(attr) and (inspect.isgeneratorfunction(attr)
+                               or getattr(attr, "api_op", False)):
             def call(*args, **kwargs):
                 return self._governed(name, attr, args, kwargs)
             return call

@@ -9,10 +9,14 @@ Kernels are Python generator functions taking a single context argument::
         yield from ctx.noc_async_read_barrier()
         yield from ctx.cb_push_back(CB_IN0, 1)
 
-Every API call is a generator (``yield from`` it) so that the simulator
-can charge the calibrated cost and block where the real call blocks.  The
-surface mirrors tt-metal's dataflow and compute APIs, plus the
-``cb_set_rd_ptr`` extension the paper added (Section VI).
+Kernels ``yield from`` every API op, so that the simulator can charge
+the calibrated cost and block where the real call blocks.  An op returns
+what to ``yield from``: a generator when simulated time must pass or a
+handshake blocks, and ``()`` when it completes at once — the compute and
+CB ops inside a fused charge region (see :meth:`_CtxBase._charge`), which
+are then plain calls.  The surface mirrors tt-metal's dataflow and
+compute APIs, plus the ``cb_set_rd_ptr`` extension the paper added
+(Section VI).
 
 Contiguity is detected automatically: a DRAM request that starts exactly
 where the previous request (same data mover, same direction) ended is
@@ -25,6 +29,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.arch.cb import CircularBuffer
 from repro.arch.noc import ReadJob, WriteJob
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0, DATA_MOVER_1, TensixCore
 from repro.sim import Event, Timeout
@@ -62,6 +67,19 @@ def _rotating_gather(window: np.ndarray, pos: int, size: int) -> np.ndarray:
     if pos + size <= win:
         return window[pos:pos + size].copy()
     return window[(pos + np.arange(size)) % win]
+
+
+def _apply(fn, args) -> None:
+    """``fn(*args)``: the deferred effect of an op whose effect does not
+    take ``(obj, arg)`` (see :meth:`_CtxBase._after`)."""
+    fn(*args)
+
+
+def _plain_op(method):
+    """Mark a kernel-API op written as a plain method: kernels ``yield
+    from`` what it returns, like a generator op's result."""
+    method.api_op = True
+    return method
 
 
 class _Region:
@@ -133,15 +151,20 @@ class _CtxBase:
         if gate is not None:
             yield gate  # never fires; only Process.interrupt can free us
 
-    # -- the busy-time charge ----------------------------------------------
-    # Every API op starts with ``yield from self._charge(cost)``.  This is
-    # the one place busy time is booked, and it is a plain method: on the
-    # common paths it returns a ready iterable — ``()`` when the charge
-    # joins an open fused region, ``(Timeout,)`` otherwise — so an op costs
-    # no extra generator frame per call or per resume.  A Timeout's value
-    # is None, so the tuple iterator is only ever advanced, never sent to.
-    # Only a core with a hung slot (the hang gate) or an attached tracer
-    # takes a generator path.
+    # -- the busy-time charge and the plain-call rule -----------------------
+    # Every API op books its busy time with ``_charge``, a plain method,
+    # and its result decides the op's shape.  ``()`` means no simulated
+    # time passes before the op's effect — the charge joined an open
+    # fused region (the case tested first) or was zero — so the op
+    # applies its effect at once and returns ``()`` itself: inside a
+    # region the compute and CB ops are plain calls, at exactly the
+    # instants a generator op would have had.  Otherwise the result is
+    # ``(Timeout,)`` (an unfused charge; its value is None, so the tuple
+    # iterator is only advanced, never sent to) or a generator (a hung
+    # slot's gate, an attached tracer, several steps outside a region),
+    # and the op returns ``_after(wait, effect, obj, arg)``, or
+    # ``_blocking(...)`` for a handshake, for the kernel to ``yield
+    # from``.
     def _charge(self, seconds: float, steps: int = 1, gated: bool = True):
         """Charge ``steps`` back-to-back ops of ``seconds`` busy time each.
 
@@ -149,29 +172,64 @@ class _CtxBase:
         simulator event, but the wake-up time and busy accounting use the
         same sequential float additions as ``steps`` separate charges.
         """
+        region = self._fused
+        if region is not None and not (gated and self._hung):
+            if seconds > 0 and steps > 0:
+                region.charges += steps
+                region.wake_at += seconds
+                region.busy += seconds
+                while steps > 1:  # one addition per step, as separate charges
+                    region.wake_at += seconds
+                    region.busy += seconds
+                    steps -= 1
+            return ()
         if gated and self._hung:
             return self._gated_charge(seconds, steps)
         if seconds <= 0 or steps <= 0:
             return ()
-        region = self._fused
-        if region is None and steps == 1 and self._tracer is None:
+        if steps == 1 and self._tracer is None:
             self._busy[self.slot] += seconds
             return (Timeout(self.sim, seconds),)
-        standalone = region is None
-        if standalone:  # several steps, or a traced charge: its own region
-            self.fused_begin()
-            region = self._fused
-        region.charges += steps
-        region.wake_at += seconds
-        region.busy += seconds
-        while steps > 1:  # one addition per step, as separate charges
-            region.wake_at += seconds
-            region.busy += seconds
-            steps -= 1
-        return self._fused_flush() if standalone else ()
+        # several steps, or a traced charge: a region of its own
+        self.fused_begin()
+        self._charge(seconds, steps, gated=False)
+        return self._fused_flush()
 
     #: the older name, which test kernels use to charge raw busy time
     _elapse = _charge
+
+    @staticmethod
+    def _after(wait, effect, obj, arg):
+        """Apply an op's effect ``effect(obj, arg)`` once its charge
+        ``wait`` has passed (generator).  The two fixed arguments keep
+        the deferred call as cheap as a direct one; an effect with other
+        arguments goes through :func:`_apply`."""
+        yield from wait
+        effect(obj, arg)
+
+    def _blocking(self, wait, obj, try_now, blocking, n: int):
+        """The rest of a handshake on CB or semaphore ``obj`` (generator),
+        once its charge ``wait`` lets time pass or its synchronous fast
+        path ``try_now(obj, n)`` refused; ``blocking(obj, n)`` is the
+        event to wait on.
+
+        Inside a fused region the pending charges are flushed and the
+        fast path re-tested at the flushed (true) timestamp: pages freed
+        while the charges were pending count.  The region re-opens
+        afterwards — it conceptually extends to fused_end(), and charges
+        after a block accumulate from the resume instant exactly as
+        unfused ops would."""
+        if wait:
+            yield from wait
+            if try_now(obj, n):
+                return
+        if self._fused is not None:
+            yield from self._fused_flush()
+            if not try_now(obj, n):
+                yield from self._block(blocking(obj, n))
+            self.fused_begin()
+            return
+        yield from self._block(blocking(obj, n))
 
     def _gated_charge(self, seconds: float, steps: int):
         """:meth:`_charge` on a core with a hung slot (generator): pay any
@@ -208,6 +266,7 @@ class _CtxBase:
         region.opened_at = region.wake_at = self.sim.now
         region.busy = self._busy[self.slot]
 
+    @_plain_op
     def fused_end(self):
         """Close the region, charging all pending ops as one event.
         Tolerates a region already flushed by a blocking op.  Returns an
@@ -288,53 +347,52 @@ class _CtxBase:
     # The blocking ops consult the CB's synchronous fast path first: a
     # handshake that would complete immediately (pages already free /
     # committed, no queued peers, no wedge) commits without building an
-    # event or suspending the process — the preceding ``_charge`` timeout
-    # already anchored the simulated time, so the wake-up instant is
-    # unchanged.  Only genuinely blocking handshakes take the event path.
+    # event or suspending the process — the preceding charge already
+    # anchored the simulated time, so the wake-up instant is unchanged.
+    # Only genuinely blocking handshakes take the event path.
+    @_plain_op
     def cb_reserve_back(self, cb_id: int, n: int = 1):
         """Block until ``n`` pages are free in the CB, then reserve them."""
-        yield from self._charge(self.costs.cb_op)
         cbs = self._cbs
         cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
-        if not cb.try_reserve(n):
-            if self._fused is not None:
-                # Re-test at the flushed (true) timestamp: pages freed
-                # while the region's charges were pending count.  The
-                # region re-opens afterwards — it conceptually extends to
-                # fused_end(), and charges after a block accumulate from
-                # the resume instant exactly as unfused ops would.
-                yield from self._fused_flush()
-                if not cb.try_reserve(n):
-                    yield from self._block(cb.reserve_back(n))
-                self.fused_begin()
-                return
-            yield from self._block(cb.reserve_back(n))
+        wait = self._charge(self.costs.cb_op)
+        if not wait and cb.try_reserve(n):
+            return ()
+        return self._blocking(wait, cb, CircularBuffer.try_reserve,
+                              CircularBuffer.reserve_back, n)
 
+    @_plain_op
     def cb_push_back(self, cb_id: int, n: int = 1):
         """Commit ``n`` reserved pages to the consumer side."""
-        yield from self._charge(self.costs.cb_op)
-        cbs = self._cbs
-        (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).push_back(n)
-
-    def cb_wait_front(self, cb_id: int, n: int = 1):
-        """Block until ``n`` pages are committed in the CB."""
-        yield from self._charge(self.costs.cb_op)
         cbs = self._cbs
         cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
-        if not cb.try_wait(n):
-            if self._fused is not None:
-                yield from self._fused_flush()
-                if not cb.try_wait(n):
-                    yield from self._block(cb.wait_front(n))
-                self.fused_begin()
-                return
-            yield from self._block(cb.wait_front(n))
+        wait = self._charge(self.costs.cb_op)
+        if wait:
+            return self._after(wait, CircularBuffer.push_back, cb, n)
+        cb.push_back(n)
+        return ()
 
+    @_plain_op
+    def cb_wait_front(self, cb_id: int, n: int = 1):
+        """Block until ``n`` pages are committed in the CB."""
+        cbs = self._cbs
+        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
+        wait = self._charge(self.costs.cb_op)
+        if not wait and cb.try_wait(n):
+            return ()
+        return self._blocking(wait, cb, CircularBuffer.try_wait,
+                              CircularBuffer.wait_front, n)
+
+    @_plain_op
     def cb_pop_front(self, cb_id: int, n: int = 1):
         """Recycle ``n`` consumed pages."""
-        yield from self._charge(self.costs.cb_op)
         cbs = self._cbs
-        (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).pop_front(n)
+        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
+        wait = self._charge(self.costs.cb_op)
+        if wait:
+            return self._after(wait, CircularBuffer.pop_front, cb, n)
+        cb.pop_front(n)
+        return ()
 
     def cb_write_ptr(self, cb_id: int) -> int:
         """L1 address of the reserved back page (``get_write_ptr``)."""
@@ -381,26 +439,33 @@ class _CtxBase:
                     f"core {self.core.coord} has no semaphore {sem}") from None
         return sem
 
+    @_plain_op
     def semaphore_set(self, sem, value: int):
-        yield from self._charge(self.costs.semaphore_op)
-        self._resolve_sem(sem).set_value(value)
+        sem = self._resolve_sem(sem)
+        wait = self._charge(self.costs.semaphore_op)
+        if wait:
+            return self._after(wait, type(sem).set_value, sem, value)
+        sem.set_value(value)
+        return ()
 
+    @_plain_op
     def semaphore_inc(self, sem, n: int = 1):
-        yield from self._charge(self.costs.semaphore_op)
-        self._resolve_sem(sem).release(n)
+        sem = self._resolve_sem(sem)
+        wait = self._charge(self.costs.semaphore_op)
+        if wait:
+            return self._after(wait, type(sem).release, sem, n)
+        sem.release(n)
+        return ()
 
+    @_plain_op
     def semaphore_wait(self, sem, value: int):
         """Block until the semaphore reaches ``value`` (non-consuming)."""
-        yield from self._charge(self.costs.semaphore_op)
         sem = self._resolve_sem(sem)
-        if not sem.try_wait_at_least(value):
-            if self._fused is not None:
-                yield from self._fused_flush()
-                if not sem.try_wait_at_least(value):
-                    yield from self._block(sem.wait_at_least(value))
-                self.fused_begin()
-                return
-            yield from self._block(sem.wait_at_least(value))
+        wait = self._charge(self.costs.semaphore_op)
+        if not wait and sem.try_wait_at_least(value):
+            return ()
+        return self._blocking(wait, sem, type(sem).try_wait_at_least,
+                              type(sem).wait_at_least, value)
 
 
 class DataMoverCtx(_CtxBase):
@@ -752,85 +817,151 @@ class ComputeCtx(_CtxBase):
         self.fpu = core.fpu
 
     # -- register file ---------------------------------------------------------
+    @_plain_op
     def tile_regs_acquire(self):
-        yield from self._charge(self.costs.cb_op)
+        wait = self._charge(self.costs.cb_op)
+        if wait:
+            return self._after(wait, _apply, self.fpu.acquire_dst, ())
         self.fpu.acquire_dst()
+        return ()
 
+    @_plain_op
     def tile_regs_release(self):
-        yield from self._charge(self.costs.cb_op)
+        wait = self._charge(self.costs.cb_op)
+        if wait:
+            return self._after(wait, _apply, self.fpu.release_dst, ())
         self.fpu.release_dst()
+        return ()
 
     # -- tile math (each charges one calibrated FPU op) --------------------------
+    @_plain_op
     def add_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int, dst: int):
-        yield from self._charge(self.costs.fpu_op)
         cbs = self._cbs
-        self.fpu.add_tiles(cbs[cb_a] if cb_a in cbs else self._cb(cb_a),
-                       cbs[cb_b] if cb_b in cbs else self._cb(cb_b),
-                       ia, ib, dst)
+        a = cbs[cb_a] if cb_a in cbs else self._cb(cb_a)
+        b = cbs[cb_b] if cb_b in cbs else self._cb(cb_b)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.add_tiles, (a, b, ia, ib, dst))
+        self.fpu.add_tiles(a, b, ia, ib, dst)
+        return ()
 
+    @_plain_op
     def sub_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int, dst: int):
-        yield from self._charge(self.costs.fpu_op)
         cbs = self._cbs
-        self.fpu.sub_tiles(cbs[cb_a] if cb_a in cbs else self._cb(cb_a),
-                       cbs[cb_b] if cb_b in cbs else self._cb(cb_b),
-                       ia, ib, dst)
+        a = cbs[cb_a] if cb_a in cbs else self._cb(cb_a)
+        b = cbs[cb_b] if cb_b in cbs else self._cb(cb_b)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.sub_tiles, (a, b, ia, ib, dst))
+        self.fpu.sub_tiles(a, b, ia, ib, dst)
+        return ()
 
+    @_plain_op
     def mul_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int, dst: int):
-        yield from self._charge(self.costs.fpu_op)
         cbs = self._cbs
-        self.fpu.mul_tiles(cbs[cb_a] if cb_a in cbs else self._cb(cb_a),
-                       cbs[cb_b] if cb_b in cbs else self._cb(cb_b),
-                       ia, ib, dst)
+        a = cbs[cb_a] if cb_a in cbs else self._cb(cb_a)
+        b = cbs[cb_b] if cb_b in cbs else self._cb(cb_b)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.mul_tiles, (a, b, ia, ib, dst))
+        self.fpu.mul_tiles(a, b, ia, ib, dst)
+        return ()
 
+    @_plain_op
     def copy_tile(self, cb: int, idx: int, dst: int):
-        yield from self._charge(self.costs.fpu_op)
-        self.fpu.copy_tile(self._cb(cb), idx, dst)
+        src = self._cb(cb)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.copy_tile, (src, idx, dst))
+        self.fpu.copy_tile(src, idx, dst)
+        return ()
 
+    @_plain_op
     def add_tile_to_dst(self, cb: int, idx: int, dst: int):
         """Destination-accumulation mode (the paper's rejected variant)."""
-        yield from self._charge(self.costs.fpu_op)
-        self.fpu.add_tiles_to_dst(self._cb(cb), idx, dst)
+        src = self._cb(cb)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.add_tiles_to_dst, (src, idx, dst))
+        self.fpu.add_tiles_to_dst(src, idx, dst)
+        return ()
 
+    @_plain_op
     def unary_tile(self, op: str, cb: int, idx: int, dst: int):
         """SFPU elementwise op: exp/log/sqrt/square/abs/sin/cos/
         reciprocal/relu/sigmoid (the FPU capabilities the paper lists)."""
-        yield from self._charge(self.costs.fpu_op)
-        self.fpu.unary_tile(op, self._cb(cb), idx, dst)
+        src = self._cb(cb)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.unary_tile, (op, src, idx, dst))
+        self.fpu.unary_tile(op, src, idx, dst)
+        return ()
 
     def reduce_tile(self, cb: int, idx: int, dst: int, kind: str = "sum"):
-        """Scalar tile reduction (sum / max / absmax); value in dst[0]."""
+        """Scalar tile reduction (sum / max / absmax); value in dst[0].
+
+        A generator, not a plain call: its value is the ``yield from``
+        result."""
         yield from self._charge(self.costs.fpu_op)
         return self.fpu.reduce_tile(self._cb(cb), idx, dst, kind=kind)
 
+    @_plain_op
     def matmul_tiles(self, cb_a: int, cb_b: int, ia: int, ib: int,
                      dst: int, accumulate: bool = False):
         """32x32 tile matrix multiply — the FPU's ML primitive."""
-        yield from self._charge(self.costs.fpu_op)
-        self.fpu.matmul_tiles(self._cb(cb_a), self._cb(cb_b), ia, ib, dst,
-                              accumulate=accumulate)
+        a, b = self._cb(cb_a), self._cb(cb_b)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply, self.fpu.matmul_tiles,
+                               (a, b, ia, ib, dst, accumulate))
+        self.fpu.matmul_tiles(a, b, ia, ib, dst, accumulate)
+        return ()
 
+    @_plain_op
     def transpose_tile(self, cb: int, idx: int, dst: int):
         """32x32 tile transpose."""
-        yield from self._charge(self.costs.fpu_op)
-        self.fpu.transpose_tile(self._cb(cb), idx, dst)
+        src = self._cb(cb)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.transpose_tile, (src, idx, dst))
+        self.fpu.transpose_tile(src, idx, dst)
+        return ()
 
+    @_plain_op
     def pack_tile(self, dst: int, cb_out: int, page_offset: int = 0):
-        yield from self._charge(self.costs.fpu_op)
         cbs = self._cbs
-        self.fpu.pack_tile(
-            dst, cbs[cb_out] if cb_out in cbs else self._cb(cb_out),
-            page_offset)
+        cb = cbs[cb_out] if cb_out in cbs else self._cb(cb_out)
+        wait = self._charge(self.costs.fpu_op)
+        if wait:
+            return self._after(wait, _apply,
+                               self.fpu.pack_tile, (dst, cb, page_offset))
+        self.fpu.pack_tile(dst, cb, page_offset)
+        return ()
 
+    @_plain_op
     def cb_set_wr_ptr(self, cb_id: int, l1_addr: int):
         """Producer-side alias (the Section-VIII API recommendation).
 
         Points the packer at an arbitrary L1 address so ``pack_tile``
         writes straight into e.g. an SRAM-resident domain slab.
         """
-        yield from self._charge(self.costs.cb_op)
-        self._cb(cb_id).set_wr_ptr(l1_addr)
+        cbs = self._cbs
+        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
+        wait = self._charge(self.costs.cb_op)
+        if wait:
+            return self._after(wait, CircularBuffer.set_wr_ptr, cb, l1_addr)
+        cb.set_wr_ptr(l1_addr)
+        return ()
 
     # -- the paper's extension ----------------------------------------------------
+    @_plain_op
     def cb_set_rd_ptr(self, cb_id: int, l1_addr: int):
         """``cb_set_rd_ptr`` → ``llk_set_read_ptr`` (Section VI).
 
@@ -838,9 +969,15 @@ class ComputeCtx(_CtxBase):
         reads alias the data mover's local buffer — no memcpy.  Install it
         after ``cb_wait_front`` completes, exactly as the paper describes.
         """
-        yield from self._charge(self.costs.cb_op)
-        self._cb(cb_id).set_rd_ptr(l1_addr)
+        cbs = self._cbs
+        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
+        wait = self._charge(self.costs.cb_op)
+        if wait:
+            return self._after(wait, CircularBuffer.set_rd_ptr, cb, l1_addr)
+        cb.set_rd_ptr(l1_addr)
+        return ()
 
+    @_plain_op
     def cb_set_rd_ptrs(self, *assignments: tuple[int, int]):
         """Batched ``cb_set_rd_ptr``: ``(cb_id, l1_addr)`` pairs.
 
@@ -850,7 +987,14 @@ class ComputeCtx(_CtxBase):
         timestamp and busy accounting, three fewer events per fused
         4-pointer row in the optimised Jacobi kernel.
         """
-        yield from self._charge(self.costs.cb_op, len(assignments))
+        wait = self._charge(self.costs.cb_op, len(assignments))
+        if wait:
+            return self._after(wait, ComputeCtx._set_rd_ptrs, self,
+                               assignments)
+        self._set_rd_ptrs(assignments)
+        return ()
+
+    def _set_rd_ptrs(self, assignments) -> None:
         cbs = self._cbs
         for cb_id, l1_addr in assignments:
             (cbs[cb_id] if cb_id in cbs else self._cb(cb_id)).set_rd_ptr(

@@ -81,14 +81,14 @@ class TestProtocol:
         def producer():
             for i in range(8):  # wraps the 4-page ring twice
                 yield cb.reserve_back(1)
-                cb.back_view_u16()[:] = i
+                cb.back_page()[:] = i
                 cb.push_back(1)
 
         def consumer():
             seen = []
             for _ in range(8):
                 yield cb.wait_front(1)
-                seen.append(int(cb.front_view_u16()[0]))
+                seen.append(int(cb.front_page()[0]))
                 cb.pop_front(1)
             return seen
         sim.process(producer())
@@ -126,11 +126,11 @@ class TestRdPtrAlias:
 
         def proc():
             yield cb.reserve_back(1)
-            cb.back_view_u16()[:] = 0x1111
+            cb.back_page()[:] = 0x1111
             cb.push_back(1)
             yield cb.wait_front(1)
             cb.set_rd_ptr(scratch)
-            vals = cb.front_view_u16().copy()
+            vals = cb.front_page().copy()
             cb.pop_front(1)
             return vals
         vals = run_proc(sim, proc())
@@ -142,15 +142,15 @@ class TestRdPtrAlias:
 
         def proc():
             yield cb.reserve_back(2)
-            cb.back_view_u16(0)[:] = 1
-            cb.back_view_u16(1)[:] = 2
+            cb.back_page(0)[:] = 1
+            cb.back_page(1)[:] = 2
             cb.push_back(2)
             yield cb.wait_front(1)
             cb.set_rd_ptr(scratch)
             cb.pop_front(1)
             # next page must read from the CB's own storage again
             yield cb.wait_front(1)
-            val = int(cb.front_view_u16()[0])
+            val = int(cb.front_page()[0])
             cb.pop_front(1)
             return val
         assert run_proc(sim, proc()) == 2
@@ -162,6 +162,70 @@ class TestRdPtrAlias:
     def test_alias_requires_even_address(self, cb):
         with pytest.raises(CBError, match="2-byte"):
             cb.set_rd_ptr(33)
+
+    @pytest.mark.parametrize("setter", ["set_rd_ptr", "set_wr_ptr"])
+    def test_fp32_alias_requires_word_alignment(self, sim, setter):
+        """A 2-byte-aligned alias is refused on an FP32 CB when it is set,
+        naming the CB and its element width — not at the first unpack."""
+        cb = CircularBuffer(sim, Sram(1 << 18), 3, page_size=64, n_pages=1,
+                            dtype="fp32", name="fp32_in")
+        scratch = cb.sram.allocate(256, align=32)
+        with pytest.raises(CBError, match=r"fp32_in: .*4-byte aligned .*fp32"):
+            getattr(cb, setter)(scratch + 2)
+        getattr(cb, setter)(scratch + 4)   # word-aligned is fine
+
+    @pytest.mark.parametrize("dtype", ["bf16", "fp32"])
+    def test_alias_page_past_l1_raises_index_error(self, sim, dtype):
+        """The alias itself fits, but a later page of it runs off L1."""
+        sram = Sram(1 << 18)
+        cb = CircularBuffer(sim, sram, 0, page_size=64, n_pages=2,
+                            dtype=dtype)
+        last = sram.capacity - 64
+        cb.set_rd_ptr(last)
+        cb.set_wr_ptr(last)
+        assert cb.front_page(0).nbytes == cb.back_page(0).nbytes == 64
+        with pytest.raises(IndexError, match="outside"):
+            cb.front_page(1)
+        with pytest.raises(IndexError, match="outside"):
+            cb.back_page(1)
+
+    @pytest.mark.parametrize("dtype", ["bf16", "fp32"])
+    def test_pages_are_word_slices_of_l1(self, sim, dtype):
+        """Own and aliased pages of both widths view the same L1 bytes."""
+        sram = Sram(1 << 18)
+        cb = CircularBuffer(sim, sram, 0, page_size=64, n_pages=2,
+                            dtype=dtype)
+        want = np.uint16 if dtype == "bf16" else np.float32
+        assert cb.try_reserve(1)
+        page = cb.back_page(0)
+        assert page.dtype == want and page.size == 64 // page.itemsize
+        page[:] = np.arange(page.size)
+        assert sram.view(cb.base, 64).tobytes() == page.tobytes()
+        cb.push_back(1)
+        assert np.shares_memory(cb.front_page(0), page)
+        scratch = sram.allocate(128, align=32)
+        cb.set_rd_ptr(scratch + 64)
+        alias = cb.front_page(0)
+        assert alias.dtype == want
+        assert np.shares_memory(alias, sram.view(scratch + 64, 64))
+
+    def test_page_views_are_kept_per_address_and_bounded(self, sim,
+                                                         monkeypatch):
+        """A page is sliced once per L1 address; a sweep of more distinct
+        aliases than the memo keeps starts it over, views still right."""
+        import repro.arch.cb as cb_mod
+        monkeypatch.setattr(cb_mod, "MAX_PAGE_VIEWS", 8)
+        sram = Sram(1 << 18)
+        cb = CircularBuffer(sim, sram, 0, page_size=8, n_pages=1,
+                            dtype="fp32")
+        slab = sram.allocate(8 * 20, align=32)
+        sram.view_u32(slab, 40)[:] = np.arange(40, dtype=np.uint32)
+        for k in range(20):
+            cb.set_rd_ptr(slab + 8 * k)
+            page = cb.front_page()
+            assert page is cb.front_page()
+            assert page.view(np.uint32).tolist() == [2 * k, 2 * k + 1]
+            assert len(cb._pages) <= 8
 
     def test_read_ptr_honours_alias(self, sim, cb):
         scratch = cb.sram.allocate(64, align=32)
@@ -211,7 +275,7 @@ def test_cb_fifo_property(batches, n_pages):
         for b in batches:
             yield cb.reserve_back(b)
             for i in range(b):
-                cb.back_view_u16(i)[:] = k
+                cb.back_page(i)[:] = k
                 k += 1
             cb.push_back(b)
             assert 0 <= cb.pages_free <= n_pages
@@ -220,7 +284,7 @@ def test_cb_fifo_property(batches, n_pages):
     def consumer():
         for _ in range(total):
             yield cb.wait_front(1)
-            seen.append(int(cb.front_view_u16()[0]))
+            seen.append(int(cb.front_page()[0]))
             cb.pop_front(1)
     sim.process(producer())
     c = sim.process(consumer())

@@ -21,7 +21,7 @@ def rig(sim):
         cb = cbs[cb_id]
         cb.reserve_back(1)
         sim.run()
-        cb.back_view_u16()[:] = f32_to_bits(
+        cb.back_page()[:] = f32_to_bits(
             np.asarray(values, dtype=np.float32)).ravel()
         cb.push_back(1)
     # output CB: reserve a page to pack into
@@ -41,7 +41,7 @@ class TestTileMath:
         fpu.acquire_dst()
         fpu.add_tiles(cbs[0], cbs[1], 0, 0, 0)
         fpu.pack_tile(0, cbs[2])
-        got = cbs[2].back_view_u16().copy()
+        got = cbs[2].back_page().copy()
         want = bf16_add(f32_to_bits(a), f32_to_bits(b)).ravel()
         assert np.array_equal(got, want)
 
@@ -56,7 +56,7 @@ class TestTileMath:
         fpu.mul_tiles(cbs[0], cbs[1], 0, 0, 0)
         fpu.pack_tile(0, cbs[2])
         want = bf16_mul(f32_to_bits(a), f32_to_bits(b)).ravel()
-        assert np.array_equal(cbs[2].back_view_u16(), want)
+        assert np.array_equal(cbs[2].back_page(), want)
 
     def test_sub_tiles(self, rig):
         cbs, fill = rig
@@ -86,17 +86,16 @@ class TestTileMath:
                               n_pages=1, dtype="fp32")
         fp32.reserve_back(1)
         sim.run()
-        fp32.back_view_bits()[:] = np.full(512, 4.0, np.float32).view(
-            np.uint32)
+        fp32.back_page()[:] = np.full(512, 4.0, np.float32)
         fp32.push_back(1)
         fpu = Fpu()
         fpu.acquire_dst()
         fpu.copy_tile(cbs[0], 0, 0)
         fpu.add_tiles(cbs[0], cbs[1], 0, 0, 1)
         fpu.copy_tile(fp32, 0, 2)
-        cbs[0].front_view_u16()[:] = 0
-        cbs[1].front_view_u16()[:] = 0
-        fp32.front_view_bits()[:] = 0
+        cbs[0].front_page()[:] = 0
+        cbs[1].front_page()[:] = 0
+        fp32.front_page()[:] = 0
         assert np.all(fpu.dst_value_f32(0) == 1.5)
         assert np.all(fpu.dst_value_f32(1) == 3.5)
         assert np.all(fpu.dst_value_f32(2) == 4.0)
@@ -123,7 +122,7 @@ class TestTileMath:
         assert np.all(fpu.dst_value_f32(0) == np.float32(1.0 + 2 ** -9))
         # packing rounds (ties-to-even -> 1.0)
         fpu.pack_tile(0, cbs[2])
-        assert np.all(bits_to_f32(cbs[2].back_view_u16()) == 1.0)
+        assert np.all(bits_to_f32(cbs[2].back_page()) == 1.0)
 
     def test_ops_counter(self, rig):
         cbs, fill = rig
@@ -194,14 +193,14 @@ class TestRegisterProtocol:
         small_in.reserve_back(1)
         small_out.reserve_back(1)
         sim.run()
-        small_in.back_view_u16()[:] = f32_to_bits(
+        small_in.back_page()[:] = f32_to_bits(
             np.full(128, 4.0, dtype=np.float32))
         small_in.push_back(1)
         fpu = Fpu()
         fpu.acquire_dst()
         fpu.copy_tile(small_in, 0, 0)
         fpu.pack_tile(0, small_out)
-        assert np.all(bits_to_f32(small_out.back_view_u16()) == 4.0)
+        assert np.all(bits_to_f32(small_out.back_page()) == 4.0)
 
     def test_pack_size_mismatch_rejected(self, sim, rig):
         cbs, fill = rig

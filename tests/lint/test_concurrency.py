@@ -342,3 +342,28 @@ class TestMulticastKernelRules:
             yield from ctx.semaphore_inc(0, 1)
 
         assert not lint.lint_kernel(good)
+
+
+class TestWitnessGovernor:
+    def test_plain_call_ops_count_toward_the_witness_index(self, device):
+        """The replay governor counts every op a kernel ``yield from``s,
+        the ops written as plain methods included, as the symbolic trace
+        does: index 1 here is ``cb_push_back``, not the barrier."""
+        from repro.lint.witness import _govern, _ReplayState
+        from repro.ttmetal import CreateCircularBuffer, EnqueueProgram, \
+            Finish
+
+        def kernel(ctx):
+            yield from ctx.cb_reserve_back(0, 1)
+            yield from ctx.cb_push_back(0, 1)
+            yield from ctx.noc_async_read_barrier()
+
+        prog = Program(device)
+        core = device.core(0, 0)
+        CreateCircularBuffer(prog, core, 0, 64, 2)
+        state = _ReplayState()
+        CreateKernel(prog, _govern(kernel, "k", 1, "watch", state), core,
+                     DATA_MOVER_0)
+        EnqueueProgram(device, prog, lint="off")
+        Finish(device)
+        assert state.recorded["k"][0] == "cb_push_back"

@@ -1,13 +1,20 @@
 """Guards for the flattened device hot path.
 
 Kernel-API ops charge busy time through one plain method
-(``_CtxBase._charge``) and fall back to a generator only for a hung slot
-or an attached tracer; CB handshakes and the FPU pack path take direct
-shortcuts.  These tests pin that the shortcuts change nothing observable:
-the traced and untraced runs are identical, a hang still strands at the
-next API boundary, CB lookups fail the same way, the packer's bits are
-``f32_to_bits``'s, and the host cost per simulated event stays bounded.
+(``_CtxBase._charge``); inside a fused region an op is a plain call that
+applies its effect at once, and it falls back to a generator only when
+time must pass first (an unfused charge, a hung slot, an attached tracer)
+or a handshake blocks.  CB pages of both widths are one slice of L1, and
+the FPU copies each into an operand latch.  These tests pin that the
+shortcuts change nothing observable: the traced and untraced runs are
+identical, fused and unfused runs leave the same bits, busy time and
+clock, a hang still strands at the next API boundary, CB lookups fail the
+same way, the packer's bits are ``f32_to_bits``'s (BF16) and the
+copy-then-op rule's (FP32), and the host cost per simulated event and
+per FPU op stays bounded.
 """
+
+import operator
 
 import sys
 
@@ -20,6 +27,7 @@ from repro.arch.device import GrayskullDevice
 from repro.arch.fpu import Fpu
 from repro.arch.sram import Sram
 from repro.arch.tensix import COMPUTE, DATA_MOVER_0
+import repro.ops.fft as fft
 from repro.core.grid import LaplaceProblem
 from repro.core.jacobi_optimized import OptimizedJacobiRunner
 from repro.dtypes.bf16 import f32_to_bits
@@ -195,9 +203,171 @@ class TestPackTileBits:
         fpu._dst[0] = values.copy()
         fpu.pack_tile(0, cb)
         expected = f32_to_bits(values)
-        assert np.array_equal(cb.back_view_u16(0), expected)
+        assert np.array_equal(cb.back_page(0), expected)
         assert np.array_equal(f32_to_bits(values, out=np.empty(
             n, dtype=np.uint16)), expected)
+
+
+#: float32 words of every FP32 class the FPU path must carry bit for bit
+_FP32_EDGES = np.array([
+    0x00000000, 0x80000000,                          # +0, -0
+    0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,  # subnormals
+    0x7F800000, 0xFF800000,                          # +-inf
+    0x7FC00000, 0xFFC00000, 0x7FC12345, 0xFFC00002,  # quiet NaNs
+    0x7F800001, 0xFF800001, 0x7FA00000, 0xFF812345,  # signalling NaNs
+    0x3F800000, 0xBF800000, 0x7F7FFFFF, 0x00800000,  # normals
+], dtype=np.uint32)
+
+
+def _edge_pairs(n):
+    """(a, b) float32 words: every ordered pair of edge classes, cycled
+    to ``n`` lanes, so each pair meets in many lane positions."""
+    k = _FP32_EDGES.size
+    idx = np.arange(n)
+    return _FP32_EDGES[idx % k], _FP32_EDGES[(idx // k + idx) % k]
+
+
+def _copy_then_op(a_bits, b_bits, op):
+    """The FP32 rule before pages were one word slice: each page copied
+    as 32-bit words and viewed as float32, the op, and the register's
+    words stored unchanged."""
+    with np.errstate(all="ignore"):
+        reg = op(a_bits.copy().view(np.float32), b_bits.copy().view(np.float32))
+    return np.ascontiguousarray(reg, dtype=np.float32).ravel().view(np.uint32)
+
+
+class TestFp32PageBits:
+    OPS = {"add": (operator.add, Fpu.add_tiles),
+           "sub": (operator.sub, Fpu.sub_tiles),
+           "mul": (operator.mul, Fpu.mul_tiles)}
+
+    def _rig(self, n):
+        sim = Simulator()
+        sram = Sram()
+        cbs = [CircularBuffer(sim, sram, i, page_size=4 * n, n_pages=1,
+                              dtype="fp32") for i in range(3)]
+        slab = sram.allocate(3 * 4 * n, align=32)
+        return sram, cbs, slab
+
+    @pytest.mark.parametrize("n", [2, 7, 400])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_unpack_op_pack_matches_copy_then_op(self, n, name, in_place):
+        ref_op, fpu_op = self.OPS[name]
+        sram, (cb_a, cb_b, cb_o), slab = self._rig(n)
+        a_bits, b_bits = _edge_pairs(n)
+        a_addr, b_addr = slab, slab + 4 * n
+        sram.view_u32(a_addr, n)[:] = a_bits
+        sram.view_u32(b_addr, n)[:] = b_bits
+        cb_a.set_rd_ptr(a_addr)
+        cb_b.set_rd_ptr(b_addr)
+        # in place: the output page is input a's page, as with FFT's xr1
+        out_addr = a_addr if in_place else slab + 8 * n
+        cb_o.set_wr_ptr(out_addr)
+        fpu = Fpu()
+        fpu.acquire_dst()
+        with np.errstate(all="ignore"):
+            fpu_op(fpu, cb_a, cb_b, 0, 0, 0)
+        fpu.pack_tile(0, cb_o)
+        # each operand is a fresh copy, never a view of L1
+        assert not np.shares_memory(fpu._unpack(cb_a, 0), sram.mem)
+        want = _copy_then_op(a_bits, b_bits, ref_op)
+        got = sram.view_u32(out_addr, n)
+        assert got.tobytes() == want.tobytes()
+        if not in_place:   # the inputs are untouched
+            assert sram.view_u32(a_addr, n).tobytes() == a_bits.tobytes()
+
+    def test_copy_tile_and_pack_carry_every_payload(self):
+        """A register copied from an FP32 page packs back bit for bit:
+        no quieting of signalling NaNs, no flush of subnormals."""
+        n = _FP32_EDGES.size
+        sram, (cb_a, _b, cb_o), slab = self._rig(n)
+        sram.view_u32(slab, n)[:] = _FP32_EDGES
+        cb_a.set_rd_ptr(slab)
+        cb_o.set_wr_ptr(slab + 4 * n)
+        fpu = Fpu()
+        fpu.acquire_dst()
+        fpu.copy_tile(cb_a, 0, 0)
+        fpu.pack_tile(0, cb_o)
+        assert sram.view_u32(slab + 4 * n, n).tobytes() == \
+            _FP32_EDGES.tobytes()
+
+    def test_bf16_latch_low_halves_stay_zero(self):
+        """An FP32 unpack does not dirty the BF16 operand latches."""
+        sim = Simulator()
+        sram = Sram()
+        wide = CircularBuffer(sim, sram, 0, page_size=64, n_pages=1,
+                              dtype="fp32")
+        narrow = CircularBuffer(sim, sram, 1, page_size=32, n_pages=1)
+        wide.set_rd_ptr(sram.allocate(64, align=32))
+        wide.front_page()[:] = np.float32(3.0)
+        narrow.set_rd_ptr(sram.allocate(32, align=32))
+        narrow.front_page()[:] = f32_to_bits(np.float32(1.5))
+        fpu = Fpu()
+        fpu.acquire_dst()
+        fpu.add_tiles(wide, wide, 0, 0, 0)
+        fpu.add_tiles(narrow, narrow, 0, 0, 1)
+        assert np.all(fpu.dst_value_f32(0) == 6.0)
+        assert np.all(fpu.dst_value_f32(1) == 3.0)
+        latches = [latch for by_len in fpu._operands
+                   for latch in by_len.values()]
+        assert latches
+        for _high, f32 in latches:
+            assert not np.any(f32.view(np.uint32) & 0xFFFF)
+
+
+def _op_sequence_launch(fused):
+    """One compute kernel running a mixed op sequence on FP32 and BF16
+    CBs, with or without a fused region around it."""
+    device = _new_device()
+    core = device.core(0, 0)
+    prog = Program(device)
+    n = 8
+    CreateCircularBuffer(prog, core, 0, 4 * n, 1, dtype="fp32")
+    CreateCircularBuffer(prog, core, 1, 4 * n, 1, dtype="fp32")
+    CreateCircularBuffer(prog, core, 2, 4 * n, 1, dtype="fp32")
+    CreateCircularBuffer(prog, core, 3, 2 * n, 2)    # BF16 self-loop
+    slab = core.allocate_l1(4 * 4 * n, align=32)
+    words = np.concatenate(_edge_pairs(2 * n))
+    core.sram.view_u32(slab, words.size)[:] = words
+
+    def kernel(ctx):
+        yield from ctx.tile_regs_acquire()
+        if fused:
+            ctx.fused_begin()
+        for k in range(3):
+            a, b = slab + (k % 2) * 4 * n, slab + 4 * 4 * n - 4 * n
+            yield from ctx.cb_set_rd_ptrs((0, a), (1, b))
+            yield from ctx.mul_tiles(0, 1, 0, 0, 0)
+            yield from ctx.cb_set_wr_ptr(2, a)          # in place
+            yield from ctx.pack_tile(0, 2)
+            yield from ctx.cb_set_rd_ptr(0, a)
+            yield from ctx.sub_tiles(0, 1, 0, 0, 1)
+            yield from ctx.cb_reserve_back(3, 1)
+            yield from ctx.pack_tile(1, 3)
+            yield from ctx.cb_push_back(3, 1)
+            yield from ctx.cb_wait_front(3, 1)
+            yield from ctx.add_tiles(3, 3, 0, 0, 0)
+            yield from ctx.cb_pop_front(3, 1)
+            yield from ctx.cb_set_wr_ptr(2, b)
+            yield from ctx.pack_tile(0, 2)
+        yield from ctx.fused_end()
+        yield from ctx.tile_regs_release()
+
+    CreateKernel(prog, kernel, core, COMPUTE)
+    EnqueueProgram(device, prog, lint="off")
+    with np.errstate(all="ignore"):
+        Finish(device)
+    return (core.sram.mem.tobytes(), core.busy_time[COMPUTE],
+            device.sim.now, device.sim.events_processed)
+
+
+class TestFusedMatchesUnfused:
+    def test_same_bits_busy_time_and_clock(self):
+        fused = _op_sequence_launch(True)
+        unfused = _op_sequence_launch(False)
+        assert fused[:3] == unfused[:3]
+        assert fused[3] < unfused[3]   # the region coalesced the charges
 
 
 class TestCallBudget:
@@ -205,9 +375,11 @@ class TestCallBudget:
 
     Counts every Python-visible call (Python frames, generator resumes
     and C builtins) that ``sys.setprofile`` reports while ``Finish``
-    runs one small launch.  Measured at 17.2 calls per event with
-    CPython 3.11 and NumPy 2.4 (28.9 before the hot path was flattened);
-    the bound leaves about 7 % for other NumPy releases.
+    runs one small launch.  Measured at 17.7 calls per event with
+    CPython 3.11 and NumPy 2.4 (28.9 before the hot path was flattened,
+    17.2 before fused ops became plain calls: an unfused op now pays one
+    plain frame besides the generator that waits out its charge); the
+    bound leaves about 4 % for other NumPy releases.
     """
 
     BUDGET = 18.5
@@ -232,3 +404,34 @@ class TestCallBudget:
         events = device.sim.events_processed - events0
         assert events == 3992
         assert calls / events <= self.BUDGET
+
+    #: calls per FPU op on the FFT below: 34.2 with CPython 3.11 and
+    #: NumPy 2.4 (52.7 before fused ops became plain calls on one
+    #: word-slice page view)
+    FFT_BUDGET = 42
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="call counts are calibrated on CPython 3.11")
+    def test_fft_calls_per_fpu_op_within_budget(self, monkeypatch):
+        """A 64-point pencil FFT on 2x4 cores: every Python-visible call
+        while ``Finish`` runs it, per FPU tile op."""
+        calls = 0
+
+        def count(_frame, event, _arg):
+            nonlocal calls
+            if event == "call" or event == "c_call":
+                calls += 1
+
+        finish = fft.Finish
+
+        def counted_finish(device, *args, **kwargs):
+            sys.setprofile(count)
+            try:
+                return finish(device, *args, **kwargs)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(fft, "Finish", counted_finish)
+        res = fft.run_fft(fft.FftProblem(64, 16), cores=(2, 4))
+        assert res.fpu_ops == 15360
+        assert calls / res.fpu_ops <= self.FFT_BUDGET
