@@ -34,8 +34,11 @@ from repro.sim.engine import _PENDING
 
 __all__ = ["CircularBuffer", "CBError"]
 
-#: page views one CB keeps before starting over (see ``_new_page``); far
-#: above the distinct addresses any shipped kernel aliases
+#: page views one CB keeps (see ``_new_page``): every page of every CB
+#: in the perfbench workloads (at most 767 per CB, FFT's operand CB at
+#: n=256) and the FFT's whole working set up to n=1024 (3n-1 per CB).
+#: A longer sweep of distinct aliases keeps the first ones and slices
+#: the rest afresh at each lookup.
 MAX_PAGE_VIEWS = 4096
 
 
@@ -97,10 +100,10 @@ class CircularBuffer:
                                   label=self.name)
         # A page of either width, own or aliased, is one slice of the
         # Sram array for that width (``sram.u16`` for BF16, ``sram.f32``
-        # for FP32), made once per L1 address and kept in ``_pages``.
-        # Own pages are aligned and inside the allocation; aliases are
-        # checked for alignment when set and for L1 bounds when first
-        # viewed.
+        # for FP32), made once per L1 address and kept in ``_pages``
+        # (a NumPy slice costs ~6 times a dict hit).  Own pages are
+        # aligned and inside the allocation; aliases are checked for
+        # alignment when set and for L1 bounds when first viewed.
         self._words = sram.u16 if dtype == "bf16" else sram.f32
         self._page_words = page_size // self.elem_bytes
         self._pages: dict = {}
@@ -194,15 +197,16 @@ class CircularBuffer:
 
     def _new_page(self, addr: int, page_offset: int) -> np.ndarray:
         """Slice the page at (element-aligned) L1 address ``addr`` and keep
-        it; ``IndexError`` if it runs outside L1."""
+        it while fewer than ``MAX_PAGE_VIEWS`` are kept; ``IndexError`` if
+        it runs outside L1."""
         word = addr // self.elem_bytes
         if word < 0 or word + self._page_words > self._words.size:
             raise IndexError(
                 f"{self.name}: page {page_offset} at L1 [{addr}, "
                 f"{addr + self.page_size}) outside {self.sram.capacity}")
-        if len(self._pages) >= MAX_PAGE_VIEWS:
-            self._pages.clear()   # a long sweep of distinct aliases
-        view = self._pages[addr] = self._words[word:word + self._page_words]
+        view = self._words[word:word + self._page_words]
+        if len(self._pages) < MAX_PAGE_VIEWS:
+            self._pages[addr] = view
         return view
 
     def back_page(self, page_offset: int = 0) -> np.ndarray:

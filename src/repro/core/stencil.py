@@ -28,6 +28,7 @@ bit-exact oracle for *this* kernel is :func:`stencil_step_bf16`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -133,19 +134,16 @@ class StencilSpec:
         if cu < 0 or cv < 0 or cu + cv > 1:
             raise ValueError("upwind stability needs cu, cv >= 0 and "
                              "cu + cv <= 1")
-        # exact arithmetic; imported here, since fractions pulls in decimal
-        # and every other import of this module would pay for it
-        from fractions import Fraction
-
         west, north = (float(bf16_round(np.float32(c))) for c in (cu, cv))
-        rest = Fraction(1) - Fraction(west) - Fraction(north)
+        # fsum rounds the exact sum once, so its sign is the exact sign
+        rest = math.fsum((1.0, -west, -north))
         center = 0.0
         if rest > 0:
             # truncate to the BF16 grid; one step down if the float32
             # conversion rounded past the exact remainder
             bits = bf16_high_bits(np.float32(rest))
             center = float(bits_to_f32(bits))
-            if Fraction(center) > rest:
+            if math.fsum((center, -1.0, west, north)) > 0:
                 center = float(bits_to_f32(bits - np.uint16(1)))
         return cls(center=center, west=west, east=0.0, north=north,
                    south=0.0)

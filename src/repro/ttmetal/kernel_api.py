@@ -164,7 +164,10 @@ class _CtxBase:
     # slot's gate, an attached tracer, several steps outside a region),
     # and the op returns ``_after(wait, effect, obj, arg)``, or
     # ``_blocking(...)`` for a handshake, for the kernel to ``yield
-    # from``.
+    # from``.  ``_op`` is that rule for an op whose effect is
+    # ``effect(obj, arg)``; the tile ops spell it out, since routing
+    # their wider effects through ``_op`` and ``_apply`` cost two more
+    # frames and a star call per fused op.
     def _charge(self, seconds: float, steps: int = 1, gated: bool = True):
         """Charge ``steps`` back-to-back ops of ``seconds`` busy time each.
 
@@ -197,6 +200,17 @@ class _CtxBase:
 
     #: the older name, which test kernels use to charge raw busy time
     _elapse = _charge
+
+    def _op(self, seconds: float, effect, obj, arg, steps: int = 1):
+        """The plain-call rule: charge ``steps`` ops of ``seconds``, then
+        apply the op's effect ``effect(obj, arg)`` at once and return
+        ``()``, or, when simulated time must pass first, return the
+        generator that applies it afterwards (see :meth:`_after`)."""
+        wait = self._charge(seconds, steps)
+        if wait:
+            return self._after(wait, effect, obj, arg)
+        effect(obj, arg)
+        return ()
 
     @staticmethod
     def _after(wait, effect, obj, arg):
@@ -365,12 +379,8 @@ class _CtxBase:
     def cb_push_back(self, cb_id: int, n: int = 1):
         """Commit ``n`` reserved pages to the consumer side."""
         cbs = self._cbs
-        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
-        wait = self._charge(self.costs.cb_op)
-        if wait:
-            return self._after(wait, CircularBuffer.push_back, cb, n)
-        cb.push_back(n)
-        return ()
+        return self._op(self.costs.cb_op, CircularBuffer.push_back,
+                        cbs[cb_id] if cb_id in cbs else self._cb(cb_id), n)
 
     @_plain_op
     def cb_wait_front(self, cb_id: int, n: int = 1):
@@ -387,12 +397,8 @@ class _CtxBase:
     def cb_pop_front(self, cb_id: int, n: int = 1):
         """Recycle ``n`` consumed pages."""
         cbs = self._cbs
-        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
-        wait = self._charge(self.costs.cb_op)
-        if wait:
-            return self._after(wait, CircularBuffer.pop_front, cb, n)
-        cb.pop_front(n)
-        return ()
+        return self._op(self.costs.cb_op, CircularBuffer.pop_front,
+                        cbs[cb_id] if cb_id in cbs else self._cb(cb_id), n)
 
     def cb_write_ptr(self, cb_id: int) -> int:
         """L1 address of the reserved back page (``get_write_ptr``)."""
@@ -442,20 +448,13 @@ class _CtxBase:
     @_plain_op
     def semaphore_set(self, sem, value: int):
         sem = self._resolve_sem(sem)
-        wait = self._charge(self.costs.semaphore_op)
-        if wait:
-            return self._after(wait, type(sem).set_value, sem, value)
-        sem.set_value(value)
-        return ()
+        return self._op(self.costs.semaphore_op, type(sem).set_value, sem,
+                        value)
 
     @_plain_op
     def semaphore_inc(self, sem, n: int = 1):
         sem = self._resolve_sem(sem)
-        wait = self._charge(self.costs.semaphore_op)
-        if wait:
-            return self._after(wait, type(sem).release, sem, n)
-        sem.release(n)
-        return ()
+        return self._op(self.costs.semaphore_op, type(sem).release, sem, n)
 
     @_plain_op
     def semaphore_wait(self, sem, value: int):
@@ -953,12 +952,9 @@ class ComputeCtx(_CtxBase):
         writes straight into e.g. an SRAM-resident domain slab.
         """
         cbs = self._cbs
-        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
-        wait = self._charge(self.costs.cb_op)
-        if wait:
-            return self._after(wait, CircularBuffer.set_wr_ptr, cb, l1_addr)
-        cb.set_wr_ptr(l1_addr)
-        return ()
+        return self._op(self.costs.cb_op, CircularBuffer.set_wr_ptr,
+                        cbs[cb_id] if cb_id in cbs else self._cb(cb_id),
+                        l1_addr)
 
     # -- the paper's extension ----------------------------------------------------
     @_plain_op
@@ -970,12 +966,9 @@ class ComputeCtx(_CtxBase):
         after ``cb_wait_front`` completes, exactly as the paper describes.
         """
         cbs = self._cbs
-        cb = cbs[cb_id] if cb_id in cbs else self._cb(cb_id)
-        wait = self._charge(self.costs.cb_op)
-        if wait:
-            return self._after(wait, CircularBuffer.set_rd_ptr, cb, l1_addr)
-        cb.set_rd_ptr(l1_addr)
-        return ()
+        return self._op(self.costs.cb_op, CircularBuffer.set_rd_ptr,
+                        cbs[cb_id] if cb_id in cbs else self._cb(cb_id),
+                        l1_addr)
 
     @_plain_op
     def cb_set_rd_ptrs(self, *assignments: tuple[int, int]):
@@ -987,12 +980,8 @@ class ComputeCtx(_CtxBase):
         timestamp and busy accounting, three fewer events per fused
         4-pointer row in the optimised Jacobi kernel.
         """
-        wait = self._charge(self.costs.cb_op, len(assignments))
-        if wait:
-            return self._after(wait, ComputeCtx._set_rd_ptrs, self,
-                               assignments)
-        self._set_rd_ptrs(assignments)
-        return ()
+        return self._op(self.costs.cb_op, ComputeCtx._set_rd_ptrs, self,
+                        assignments, len(assignments))
 
     def _set_rd_ptrs(self, assignments) -> None:
         cbs = self._cbs

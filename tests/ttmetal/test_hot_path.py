@@ -369,17 +369,31 @@ class TestFusedMatchesUnfused:
         assert fused[:3] == unfused[:3]
         assert fused[3] < unfused[3]   # the region coalesced the charges
 
+    def test_busy_time_is_every_charge_in_program_order(self):
+        """Each op books its calibrated charge once, ``cb_set_rd_ptrs``
+        once per pointer, as sequential additions."""
+        costs = _new_device().core(0, 0).costs
+        cb, fpu = costs.cb_op, costs.fpu_op
+        row = [cb, cb, fpu, cb, fpu, cb, fpu, cb, fpu, cb, cb, fpu, cb,
+               cb, fpu]
+        want = 0.0
+        for charge in [cb] + row * 3 + [cb]:
+            want += charge
+        assert _op_sequence_launch(True)[1] == want
+        assert _op_sequence_launch(False)[1] == want
+
 
 class TestCallBudget:
     """Host cost per simulated event on the optimised Jacobi hot path.
 
     Counts every Python-visible call (Python frames, generator resumes
     and C builtins) that ``sys.setprofile`` reports while ``Finish``
-    runs one small launch.  Measured at 17.7 calls per event with
+    runs one small launch.  Measured at 18.3 calls per event with
     CPython 3.11 and NumPy 2.4 (28.9 before the hot path was flattened,
     17.2 before fused ops became plain calls: an unfused op now pays one
-    plain frame besides the generator that waits out its charge); the
-    bound leaves about 4 % for other NumPy releases.
+    plain frame besides the generator that waits out its charge, and
+    push/pop and ``cb_set_rd_ptrs`` one more for the shared ``_op``
+    helper); the bound leaves about 1 % for other NumPy releases.
     """
 
     BUDGET = 18.5
@@ -405,7 +419,7 @@ class TestCallBudget:
         assert events == 3992
         assert calls / events <= self.BUDGET
 
-    #: calls per FPU op on the FFT below: 34.2 with CPython 3.11 and
+    #: calls per FPU op on the FFT below: 36.2 with CPython 3.11 and
     #: NumPy 2.4 (52.7 before fused ops became plain calls on one
     #: word-slice page view)
     FFT_BUDGET = 42
